@@ -50,11 +50,9 @@ main(int argc, char **argv)
     {
         Table t({"Fabric topology (optimized MCM-GPU)", "Speedup"});
         GpuConfig ring = configs::mcmOptimized();
-        GpuConfig mesh = configs::mcmOptimized();
-        mesh.fabric = FabricKind::Mesh;
+        GpuConfig mesh = configs::mcmOptimized().withTopology("mesh2d");
         mesh.name = "mcm-optimized-mesh";
-        GpuConfig ports = configs::mcmOptimized();
-        ports.fabric = FabricKind::Ports;
+        GpuConfig ports = configs::mcmOptimized().withTopology("ports");
         ports.name = "mcm-optimized-ports";
         row(t, "ring (baseline)", ring);
         row(t, "2D mesh", mesh);

@@ -14,8 +14,8 @@
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/cache.hh"
-#include "noc/ring.hh"
 #include "sim/simulator.hh"
+#include "topo/fabric.hh"
 #include "workloads/registry.hh"
 
 using namespace mcmgpu;
@@ -81,11 +81,12 @@ BENCHMARK(BM_CacheFillEvict);
 void
 BM_RingSend(benchmark::State &state)
 {
-    RingFabric ring(4, 768.0, 32);
+    // The basic MCM-GPU's 4-stop ring: 768 GB/s links, 32-cycle hops.
+    const std::unique_ptr<Fabric> ring = Fabric::create(configs::mcmBasic());
     Cycle t = 0;
     uint32_t dst = 1;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ring.send(0, dst, 144, t));
+        benchmark::DoNotOptimize(ring->send(0, dst, 144, t));
         dst = dst % 3 + 1;
         t += 1;
     }

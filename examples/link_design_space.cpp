@@ -43,8 +43,7 @@ main(int argc, char **argv)
              "latency"});
     for (double gbps : {6144.0, 3072.0, 1536.0, 768.0, 384.0}) {
         GpuConfig ring = configs::mcmBasic(gbps);
-        GpuConfig ports = configs::mcmBasic(gbps);
-        ports.fabric = FabricKind::Ports;
+        GpuConfig ports = configs::mcmBasic(gbps).withTopology("ports");
         ports.name += "-ports";
         GpuConfig slow = configs::mcmBasic(gbps);
         slow.link_hop_cycles = 64;

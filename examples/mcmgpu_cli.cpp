@@ -15,9 +15,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,11 +60,10 @@ usage()
         "  --l15-mb <n>               remote-only L1.5 capacity (total)\n"
         "  --sched <p>                centralized | distributed | dynamic\n"
         "  --pages <p>                interleave | first-touch | rr-page\n"
-        "  --fabric <f>               ring | mesh | ports\n"
         "topology (docs/TOPOLOGY.md):\n"
-        "  --topology <spec>          ring | mesh2d:RxC |\n"
-        "                             ring-of-rings:G/R | package:P\n"
-        "                             (empty: derive from --fabric)\n"
+        "  --topology <spec>          ring | mesh2d[:RxC] |\n"
+        "                             ring-of-rings:G/R | package:P |\n"
+        "                             ports (default: the preset's)\n"
         "  --pkg-link-gbps <n>        inter-package link bandwidth\n"
         "                             (package:P only, default 256)\n"
         "  --pkg-hop-cycles <n>       inter-package hop latency\n"
@@ -127,6 +128,45 @@ usage()
         experiment::cliFlagHelp());
 }
 
+/**
+ * Parse all of @p text into @p out, or report "invalid value 'x' for
+ * <flag>" and exit 1. The target's type is the grammar: unsigned
+ * targets refuse any sign, and a value out of the target's range is
+ * rejected rather than wrapped or truncated.
+ */
+template <typename T>
+void
+parseValue(const std::string &flag, const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, out);
+    if (ec != std::errc() || stop != end) {
+        std::fprintf(stderr, "invalid value '%s' for %s\n", text.c_str(),
+                     flag.c_str());
+        std::exit(1);
+    }
+}
+
+/** Set @p out to the value @p choices maps @p text to, or report
+ *  "unknown <flag> 'x' (a|b|...)" and exit 1. */
+template <typename E>
+void
+parseChoice(const std::string &flag, const std::string &text, E &out,
+            std::initializer_list<std::pair<const char *, E>> choices)
+{
+    std::string names;
+    for (const auto &[name, value] : choices) {
+        if (text == name) {
+            out = value;
+            return;
+        }
+        names += (names.empty() ? "" : "|") + std::string(name);
+    }
+    std::fprintf(stderr, "unknown %s '%s' (%s)\n", flag.c_str(),
+                 text.c_str(), names.c_str());
+    std::exit(1);
+}
+
 bool
 parseMachine(const std::string &name, GpuConfig &cfg)
 {
@@ -182,7 +222,8 @@ int
 runMatrixMode(const std::string &machines, const std::string &workload_set,
               MemModel mem_model, uint32_t remote_mshrs,
               uint32_t fabric_vcs, uint32_t vc_credits,
-              const std::string &topology, const std::string &route_policy)
+              const std::string &topology,
+              std::optional<RoutePolicy> route_policy)
 {
     std::vector<GpuConfig> cfgs;
     for (const std::string &m : splitCommas(machines)) {
@@ -195,7 +236,7 @@ runMatrixMode(const std::string &machines, const std::string &workload_set,
         c.withFabricVcs(fabric_vcs, vc_credits);
         if (!topology.empty())
             c.withTopology(topology).withName(c.name + "+" + topology);
-        if (route_policy == "adaptive") {
+        if (route_policy == RoutePolicy::Adaptive) {
             c.withRoutePolicy(RoutePolicy::Adaptive)
                 .withName(c.name + "+adaptive");
         }
@@ -473,8 +514,8 @@ main(int argc, char **argv)
     uint32_t fabric_vcs = 0;
     uint32_t vc_credits = 64;
     uint32_t sim_threads = 1;
-    std::string topology;
-    std::string route_policy; // empty: keep the preset's policy
+    std::string topology; // empty: keep the preset's
+    std::optional<RoutePolicy> route_policy; // empty: keep the preset's
     std::string matrix_machines;
     std::string matrix_workloads;
     std::string check_obs_dir;
@@ -503,88 +544,77 @@ main(int argc, char **argv)
                 return 1;
             }
         } else if (arg == "--link-gbps") {
-            cfg.link_gbps = std::stod(next());
+            parseValue(arg, next(), cfg.link_gbps);
         } else if (arg == "--hop-cycles") {
-            cfg.link_hop_cycles = std::stoul(next());
+            parseValue(arg, next(), cfg.link_hop_cycles);
         } else if (arg == "--l15-mb") {
-            uint64_t mb = std::stoull(next());
+            uint64_t mb = 0;
+            parseValue(arg, next(), mb);
             cfg.withL15(mb * MiB, L15Alloc::RemoteOnly);
             if (mb > 0 && mb * MiB < 16 * MiB)
                 cfg.l2.size_bytes = 16 * MiB - mb * MiB;
         } else if (arg == "--sched") {
-            std::string p = next();
-            cfg.cta_sched = p == "centralized"
-                                ? CtaSchedPolicy::CentralizedRR
-                            : p == "distributed"
-                                ? CtaSchedPolicy::DistributedBatch
-                                : CtaSchedPolicy::DynamicBatch;
+            parseChoice(arg, next(), cfg.cta_sched,
+                        {{"centralized", CtaSchedPolicy::CentralizedRR},
+                         {"distributed", CtaSchedPolicy::DistributedBatch},
+                         {"dynamic", CtaSchedPolicy::DynamicBatch}});
         } else if (arg == "--pages") {
-            std::string p = next();
-            cfg.page_policy = p == "interleave"
-                                  ? PagePolicy::FineInterleave
-                              : p == "first-touch"
-                                  ? PagePolicy::FirstTouch
-                                  : PagePolicy::RoundRobinPage;
-        } else if (arg == "--fabric") {
-            std::string f = next();
-            cfg.fabric = f == "ring"   ? FabricKind::Ring
-                         : f == "mesh" ? FabricKind::Mesh
-                                       : FabricKind::Ports;
+            parseChoice(arg, next(), cfg.page_policy,
+                        {{"interleave", PagePolicy::FineInterleave},
+                         {"first-touch", PagePolicy::FirstTouch},
+                         {"rr-page", PagePolicy::RoundRobinPage}});
         } else if (arg == "--topology") {
             topology = next();
         } else if (arg == "--route-policy") {
-            route_policy = next();
-            if (route_policy != "static" && route_policy != "adaptive") {
-                std::fprintf(
-                    stderr,
-                    "unknown --route-policy '%s' (static|adaptive)\n",
-                    route_policy.c_str());
-                return 1;
-            }
+            RoutePolicy p = RoutePolicy::Static;
+            parseChoice(arg, next(), p,
+                        {{"static", RoutePolicy::Static},
+                         {"adaptive", RoutePolicy::Adaptive}});
+            route_policy = p;
         } else if (arg == "--pkg-link-gbps") {
-            cfg.pkg_link_gbps = std::stod(next());
+            parseValue(arg, next(), cfg.pkg_link_gbps);
         } else if (arg == "--pkg-hop-cycles") {
-            cfg.pkg_link_hop_cycles = std::stoull(next());
+            parseValue(arg, next(), cfg.pkg_link_hop_cycles);
         } else if (arg == "--dram-turnaround") {
-            cfg.dram_turnaround_cycles = std::stoull(next());
+            parseValue(arg, next(), cfg.dram_turnaround_cycles);
         } else if (arg == "--dram-write-drain") {
-            cfg.dram_write_drain =
-                static_cast<uint32_t>(std::stoul(next()));
+            parseValue(arg, next(), cfg.dram_write_drain);
         } else if (arg == "--sweep-sms") {
-            cfg.fault.sweepSmsEveryModule(cfg.num_modules,
-                                          std::stoul(next()));
+            uint32_t n = 0;
+            parseValue(arg, next(), n);
+            cfg.fault.sweepSmsEveryModule(cfg.num_modules, n);
         } else if (arg == "--link-derate") {
-            cfg.fault.derateLinks(std::stod(next()));
+            double f = 0.0;
+            parseValue(arg, next(), f);
+            cfg.fault.derateLinks(f);
         } else if (arg == "--link-error-rate") {
-            cfg.fault.injectLinkErrors(std::stod(next()));
+            double p = 0.0;
+            parseValue(arg, next(), p);
+            cfg.fault.injectLinkErrors(p);
         } else if (arg == "--kill-partition") {
-            cfg.fault.killPartition(std::stoul(next()));
+            PartitionId p = 0;
+            parseValue(arg, next(), p);
+            cfg.fault.killPartition(p);
         } else if (arg == "--fault-seed") {
-            cfg.fault.withSeed(std::stoull(next()));
+            uint64_t seed = 0;
+            parseValue(arg, next(), seed);
+            cfg.fault.withSeed(seed);
         } else if (arg == "--watchdog-cycles") {
-            cfg.watchdog_cycles = std::stoull(next());
+            parseValue(arg, next(), cfg.watchdog_cycles);
         } else if (arg == "--max-cycles") {
-            cfg.cycle_limit = std::stoull(next());
+            parseValue(arg, next(), cfg.cycle_limit);
         } else if (arg == "--mem-model") {
-            std::string m = next();
-            if (m == "chain") {
-                mem_model = MemModel::Chain;
-            } else if (m == "staged") {
-                mem_model = MemModel::Staged;
-            } else {
-                std::fprintf(stderr,
-                             "unknown --mem-model '%s' (chain|staged)\n",
-                             m.c_str());
-                return 1;
-            }
+            parseChoice(arg, next(), mem_model,
+                        {{"chain", MemModel::Chain},
+                         {"staged", MemModel::Staged}});
         } else if (arg == "--remote-mshrs") {
-            remote_mshrs = static_cast<uint32_t>(std::stoul(next()));
+            parseValue(arg, next(), remote_mshrs);
         } else if (arg == "--fabric-vcs") {
-            fabric_vcs = static_cast<uint32_t>(std::stoul(next()));
+            parseValue(arg, next(), fabric_vcs);
         } else if (arg == "--vc-credits") {
-            vc_credits = static_cast<uint32_t>(std::stoul(next()));
+            parseValue(arg, next(), vc_credits);
         } else if (arg == "--sim-threads") {
-            sim_threads = static_cast<uint32_t>(std::stoul(next()));
+            parseValue(arg, next(), sim_threads);
         } else if (arg == "--expect-status") {
             expect_status = next();
         } else if (arg == "--stats") {
@@ -613,11 +643,8 @@ main(int argc, char **argv)
     cfg.withSimThreads(sim_threads);
     if (!topology.empty())
         cfg.withTopology(topology);
-    if (!route_policy.empty()) {
-        cfg.withRoutePolicy(route_policy == "adaptive"
-                                ? RoutePolicy::Adaptive
-                                : RoutePolicy::Static);
-    }
+    if (route_policy)
+        cfg.withRoutePolicy(*route_policy);
 
     if (!check_obs_dir.empty())
         return checkObsMode(check_obs_dir);

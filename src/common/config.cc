@@ -68,7 +68,7 @@ GpuConfig::check() const
              "interleave granularity below line size");
     if (dram_total_gbps <= 0.0)
         flag(ConfigErrc::NoDramBandwidth, "DRAM bandwidth must be positive");
-    if (fabric != FabricKind::Ideal && num_modules > 1 && link_gbps <= 0.0)
+    if (num_modules > 1 && link_gbps <= 0.0)
         flag(ConfigErrc::NoLinkBandwidth,
              "inter-module links need bandwidth");
     if (l15_alloc != L15Alloc::Off && l15_total_bytes == 0)
@@ -89,33 +89,30 @@ GpuConfig::check() const
              "vc_credits must be positive when virtual channels are on");
 
     // --- Topology ----------------------------------------------------------
-    // A single module compiles to the ideal fabric whatever the spec
+    // Every machine must spell its topology correctly, but a single
+    // module compiles to a fabric without links whatever the family
     // says, so only multi-module machines validate structure.
-    if (!topology.empty() && num_modules > 1) {
-        topo::TopologyDesc desc;
-        std::string perr;
-        if (!topo::parseTopology(topology, desc, perr)) {
-            flag(ConfigErrc::TopoBadSpec, "topology '", topology, "': ",
-                 perr);
-        } else {
-            if (desc.kind == topo::TopoKind::Package &&
-                pkg_link_gbps <= 0.0) {
-                flag(ConfigErrc::NoLinkBandwidth,
-                     "inter-package links need bandwidth");
-            }
-            for (const topo::TopoIssue &ti :
-                 topo::checkTopology(desc, num_modules)) {
-                switch (ti.kind) {
-                  case topo::TopoIssueKind::BadSpec:
-                    flag(ConfigErrc::TopoBadSpec, ti.message);
-                    break;
-                  case topo::TopoIssueKind::DimsMismatch:
-                    flag(ConfigErrc::TopoDimsMismatch, ti.message);
-                    break;
-                  case topo::TopoIssueKind::Unreachable:
-                    flag(ConfigErrc::TopoUnreachable, ti.message);
-                    break;
-                }
+    topo::TopologyDesc desc;
+    std::string perr;
+    if (!topo::parseTopology(topology, desc, perr)) {
+        flag(ConfigErrc::TopoBadSpec, "topology '", topology, "': ", perr);
+    } else if (num_modules > 1) {
+        if (desc.kind == topo::TopoKind::Package && pkg_link_gbps <= 0.0) {
+            flag(ConfigErrc::NoLinkBandwidth,
+                 "inter-package links need bandwidth");
+        }
+        for (const topo::TopoIssue &ti :
+             topo::checkTopology(desc, num_modules)) {
+            switch (ti.kind) {
+              case topo::TopoIssueKind::BadSpec:
+                flag(ConfigErrc::TopoBadSpec, ti.message);
+                break;
+              case topo::TopoIssueKind::DimsMismatch:
+                flag(ConfigErrc::TopoDimsMismatch, ti.message);
+                break;
+              case topo::TopoIssueKind::Unreachable:
+                flag(ConfigErrc::TopoUnreachable, ti.message);
+                break;
             }
         }
     }
@@ -213,7 +210,6 @@ monolithic(uint32_t num_sms)
     c.partitions_per_module = num_sms / 32;
     c.l2.size_bytes = kTotalCacheBudget * num_sms / 256;
     c.dram_total_gbps = 3072.0 * num_sms / 256.0;
-    c.fabric = FabricKind::Ideal;
     c.link_gbps = 0.0;
     c.cta_sched = CtaSchedPolicy::CentralizedRR;
     c.page_policy = PagePolicy::FineInterleave;
@@ -242,7 +238,7 @@ mcmBasic(double link_gbps)
     c.partitions_per_module = 1;
     c.l2.size_bytes = kTotalCacheBudget;
     c.dram_total_gbps = 3072.0;
-    c.fabric = FabricKind::Ring;
+    c.topology = "ring";
     c.link_gbps = link_gbps;
     c.link_hop_cycles = 32;
     c.cta_sched = CtaSchedPolicy::CentralizedRR;
@@ -359,9 +355,9 @@ multiGpuBaseline()
     c.partitions_per_module = 4;
     c.l2.size_bytes = 16 * MiB;
     c.dram_total_gbps = 3072.0;
-    c.fabric = FabricKind::Ring; // two nodes: degenerates to one link pair
-    c.link_gbps = 256.0;         // 256 GB/s aggregate over both directions
-    c.link_hop_cycles = 256;     // board-level hop (serdes + PCB flight)
+    c.topology = "ring";     // two nodes: degenerates to one link pair
+    c.link_gbps = 256.0;     // 256 GB/s aggregate over both directions
+    c.link_hop_cycles = 256; // board-level hop (serdes + PCB flight)
     c.board_level_links = true;
     // Section 6.1: distributed scheduling and first touch are applied to
     // the multi-GPU baseline as well (fine-grain alternatives performed

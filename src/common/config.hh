@@ -108,19 +108,6 @@ enum class L15Alloc
     RemoteOnly, //!< cache only lines homed on a remote module
 };
 
-/** Inter-module fabric model. */
-enum class FabricKind
-{
-    /** Bidirectional ring, shortest-path routing, per-segment bandwidth. */
-    Ring,
-    /** 2D mesh with dimension-ordered (XY) routing. */
-    Mesh,
-    /** Ingress/egress port model (the paper's analytical abstraction). */
-    Ports,
-    /** Infinite-bandwidth zero-hop fabric (monolithic on-chip). */
-    Ideal,
-};
-
 /**
  * How the memory system resolves a post-L1 access.
  *
@@ -234,30 +221,27 @@ struct GpuConfig
     uint32_t dram_write_drain = 0;
 
     // --- Inter-module fabric --------------------------------------------------
-    FabricKind fabric = FabricKind::Ring;
+    /**
+     * The fabric's topology spec ("ring", "mesh2d[:RxC]",
+     * "ring-of-rings:G/R", "package:P", "ports" — docs/TOPOLOGY.md),
+     * validated by check(). A single-module machine compiles any spec
+     * to a fabric without links.
+     */
+    std::string topology = "ring";
     double link_gbps = 768.0;          //!< aggregate GB/s of one link
                                        //!< (both directions combined)
     Cycle link_hop_cycles = 32;        //!< per-hop latency penalty
     bool board_level_links = false;    //!< true for multi-GPU systems
-    /**
-     * Declarative topology spec ("ring", "mesh2d:RxC",
-     * "ring-of-rings:G/R", "package:P" — docs/TOPOLOGY.md). Empty (the
-     * default) derives the topology from `fabric` above, preserving
-     * historical behaviour bit for bit. Non-empty specs win over
-     * `fabric` and are validated by check().
-     */
-    std::string topology;
     /** Inter-package (NVLink-class) link pricing, used only by the
      *  package:P topology's board-tier links; on-package GRS links keep
      *  using link_gbps / link_hop_cycles. Aggregate GB/s per link. */
     double pkg_link_gbps = 256.0;
     Cycle pkg_link_hop_cycles = 256;
-    /** Equal-cost candidate selection on the table-routed fabric.
-     *  Static (the default) keeps timing bit-identical to the legacy
-     *  toggle; Adaptive steers each message onto the candidate with the
-     *  least summed link backlog at send time (docs/TOPOLOGY.md). The
-     *  analytic Ports and Ideal fabrics have no route candidates and
-     *  ignore it. */
+    /** Equal-cost candidate selection in the fabric. Static (the
+     *  default) alternates ties on a global toggle; Adaptive steers
+     *  each message onto the candidate with the least summed link
+     *  backlog at send time (docs/TOPOLOGY.md). Topologies without
+     *  equal-cost ties (ports, a single module) are unaffected. */
     RoutePolicy route_policy = RoutePolicy::Static;
 
     // --- Energy (Table 2) -----------------------------------------------------
@@ -317,8 +301,8 @@ struct GpuConfig
      *  events run in their own simulation domain, synchronized at
      *  lookahead-bounded window barriers. 1 (the default) keeps the
      *  historical single-queue serial engine, bit for bit. Values > 1
-     *  require an eligible machine (staged memory model, static
-     *  single-candidate routes, distributed CTA scheduling, ...);
+     *  require an eligible machine (staged memory model, distributed
+     *  CTA scheduling, a fabric lookahead above one cycle, ...);
      *  ineligible machines warn once and run serially. */
     uint32_t sim_threads = 1;
 

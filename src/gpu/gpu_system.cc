@@ -362,8 +362,7 @@ GpuSystem::attachRecorder(obs::Recorder &rec)
         if (rec.traceEnabled())
             l.trackBusyIntervals(obs::Recorder::kLinkBusyMergeGap);
     });
-    // Per-hop traversal latency (table-routed fabrics; no-op on the
-    // legacy fabrics, whose histogram stays empty).
+    // Per-hop traversal latency (stays empty on a single module).
     fabric_->setHopHistogram(&rec.fabricHopLatency());
 
     obs::Sampler *sampler = rec.sampler();

@@ -25,8 +25,8 @@
 #include "mem/page_table.hh"
 #include "mem/stages.hh"
 #include "noc/energy.hh"
-#include "noc/ring.hh"
 #include "obs/recorder.hh"
+#include "topo/fabric.hh"
 
 namespace mcmgpu {
 

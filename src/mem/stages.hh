@@ -41,7 +41,7 @@
 #include "mem/page_table.hh"
 #include "mem/txn.hh"
 #include "noc/energy.hh"
-#include "noc/ring.hh"
+#include "topo/fabric.hh"
 
 namespace mcmgpu {
 

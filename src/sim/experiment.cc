@@ -282,8 +282,7 @@ configKey(const GpuConfig &cfg)
        << cfg.l2.size_bytes << ','
        << cfg.l2.ways << ',' << cfg.l2.hit_latency << '/'
        << cfg.dram_total_gbps << ',' << cfg.dram_latency_ns << ','
-       << cfg.channels_per_partition << '/'
-       << static_cast<int>(cfg.fabric) << ',' << cfg.link_gbps << ','
+       << cfg.channels_per_partition << '/' << cfg.link_gbps << ','
        << cfg.link_hop_cycles << ',' << cfg.board_level_links << '/'
        << static_cast<int>(cfg.page_policy) << ',' << cfg.page_bytes << ','
        << cfg.interleave_bytes << '/'
@@ -316,13 +315,10 @@ configKey(const GpuConfig &cfg)
     // nothing so pre-VC cache entries stay valid.
     if (cfg.fabric_vcs != 0)
         os << "/V" << cfg.fabric_vcs << ',' << cfg.vc_credits;
-    // An explicit topology spec changes routing (and package-tier link
-    // pricing); the empty default derives from `fabric` above, adding
-    // nothing so pre-topology cache entries stay valid.
-    if (!cfg.topology.empty()) {
-        os << "/T" << cfg.topology << ',' << cfg.pkg_link_gbps << ','
-           << cfg.pkg_link_hop_cycles;
-    }
+    // The topology spec names the fabric, with the package-tier link
+    // pricing its package:P family uses.
+    os << "/T" << cfg.topology << ',' << cfg.pkg_link_gbps << ','
+       << cfg.pkg_link_hop_cycles;
     // DRAM bus-turnaround model; off (the default) adds nothing.
     if (cfg.dram_turnaround_cycles != 0) {
         os << "/D" << cfg.dram_turnaround_cycles << ','

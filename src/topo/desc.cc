@@ -47,6 +47,7 @@ kindName(TopoKind kind)
       case TopoKind::Mesh2D: return "mesh2d";
       case TopoKind::RingOfRings: return "ring-of-rings";
       case TopoKind::Package: return "package";
+      case TopoKind::Ports: return "ports";
     }
     return "?";
 }
@@ -62,12 +63,19 @@ parseTopology(const std::string &spec, TopologyDesc &out, std::string &error)
     const std::string body =
         colon == std::string::npos ? std::string() : spec.substr(colon + 1);
 
-    if (family == "ring") {
+    // A ':' promises a parameter; an empty one is a typo, never a
+    // request for the family's default.
+    if (colon != std::string::npos && body.empty()) {
+        error = "'" + family + ":' has an empty parameter";
+        return false;
+    }
+
+    if (family == "ring" || family == "ports") {
         if (!body.empty()) {
-            error = "ring takes no parameters";
+            error = family + " takes no parameters";
             return false;
         }
-        out.kind = TopoKind::Ring;
+        out.kind = family == "ring" ? TopoKind::Ring : TopoKind::Ports;
         return true;
     }
     if (family == "mesh2d") {
@@ -99,7 +107,7 @@ parseTopology(const std::string &spec, TopologyDesc &out, std::string &error)
         return true;
     }
     error = "unknown topology family '" + family +
-            "' (ring | mesh2d:RxC | ring-of-rings:G/R | package:P)";
+            "' (ring | mesh2d:RxC | ring-of-rings:G/R | package:P | ports)";
     return false;
 }
 

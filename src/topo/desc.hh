@@ -4,12 +4,15 @@
  * `--topology` spec string. The grammar (docs/TOPOLOGY.md):
  *
  *   ring                   bidirectional ring over all GPMs
- *   mesh2d:RxC             R-by-C 2D mesh, dimension-ordered routing
+ *   mesh2d[:RxC]           R-by-C 2D mesh, dimension-ordered routing
+ *                          (bare or :auto = most-square grid)
  *   ring-of-rings:G/R      G local rings of R stops + an express ring
  *                          over the group gateways
  *   package:P              P packages of num_modules/P GPMs; local
  *                          rings on package, board-class (NVLink-like)
  *                          links between package gateways
+ *   ports                  section 3.3.1's port model: one egress and
+ *                          one ingress port per GPM through a switch
  *
  * This header is deliberately free of GpuConfig: common/config.cc
  * includes it to validate topology specs, so depending on config.hh
@@ -32,6 +35,7 @@ enum class TopoKind
     Mesh2D,      //!< R x C grid, XY (dimension-ordered) routing
     RingOfRings, //!< hierarchical: local rings + gateway express ring
     Package,     //!< multi-package board: per-package rings + board links
+    Ports,       //!< per-module egress/ingress ports via one switch
 };
 
 /** Parsed form of one topology spec string. */
@@ -46,7 +50,7 @@ struct TopologyDesc
     std::string spec;        //!< original text, for diagnostics
 
     /** "0x0" placeholder dims mean "derive the most-square grid that
-     *  fits the module count" (what FabricKind::Mesh historically did). */
+     *  fits the module count" (bare "mesh2d" or "mesh2d:auto"). */
     bool meshAuto() const
     { return kind == TopoKind::Mesh2D && mesh_rows == 0; }
 };

@@ -34,6 +34,10 @@ struct Layout
     uint32_t group_size = 0;        //!< stops per local ring (R or M)
     std::vector<RingLinks> local;   //!< one ring layer per group
     RingLinks express;              //!< ring over the group gateways
+
+    // TopoKind::Ports: link ids of module i's ports
+    std::vector<uint32_t> egress;
+    std::vector<uint32_t> ingress;
 };
 
 std::string
@@ -42,14 +46,25 @@ num(uint32_t v)
     return std::to_string(v);
 }
 
+/** Append one link to @p graph and return its id. */
+uint32_t
+addLink(TopoGraph &graph, std::string name, uint32_t src, uint32_t dst,
+        bool board, double gbps, Cycle hop_cycles, ModuleId fault_upstream,
+        uint64_t fault_salt)
+{
+    graph.links.push_back({std::move(name), src, dst, board, gbps,
+                           hop_cycles, fault_upstream, fault_salt});
+    return static_cast<uint32_t>(graph.links.size() - 1);
+}
+
 /**
  * Emit the interleaved cw/ccw link pair for every stop of one ring
- * layer — the exact storage order RingFabric used, so sampler counter
- * registration order (and thus stats.json) is unchanged.
+ * layer — the storage order the sampler registers per-link counters
+ * in, so it is pinned (stats.json depends on it).
  *
  * @p stop_module maps a local stop index to its global node id;
- * 2-stop rings still get both directions built (the legacy ring did,
- * and their names show up in link counters even when only cw routes).
+ * 2-stop rings still get both directions built (their names show up
+ * in link counters even though only cw routes).
  */
 RingLinks
 emitRing(TopoGraph &graph, const std::string &prefix, uint32_t stops,
@@ -60,33 +75,13 @@ emitRing(TopoGraph &graph, const std::string &prefix, uint32_t stops,
     ids.cw.reserve(stops);
     ids.ccw.reserve(stops);
     for (uint32_t i = 0; i < stops; ++i) {
-        const uint32_t next = stop_module[(i + 1) % stops];
-        const uint32_t prev = stop_module[(i + stops - 1) % stops];
         const uint32_t here = stop_module[i];
-
-        TopoLinkDesc cw;
-        cw.name = prefix + "cw" + num(i);
-        cw.src = here;
-        cw.dst = next;
-        cw.board = board;
-        cw.gbps = gbps;
-        cw.hop_cycles = hop_cycles;
-        cw.fault_upstream = here;
-        cw.fault_salt = cw_salt;
-        ids.cw.push_back(static_cast<uint32_t>(graph.links.size()));
-        graph.links.push_back(std::move(cw));
-
-        TopoLinkDesc ccw;
-        ccw.name = prefix + "ccw" + num(i);
-        ccw.src = here;
-        ccw.dst = prev;
-        ccw.board = board;
-        ccw.gbps = gbps;
-        ccw.hop_cycles = hop_cycles;
-        ccw.fault_upstream = here;
-        ccw.fault_salt = ccw_salt;
-        ids.ccw.push_back(static_cast<uint32_t>(graph.links.size()));
-        graph.links.push_back(std::move(ccw));
+        ids.cw.push_back(addLink(graph, prefix + "cw" + num(i), here,
+                                 stop_module[(i + 1) % stops], board, gbps,
+                                 hop_cycles, here, cw_salt));
+        ids.ccw.push_back(addLink(graph, prefix + "ccw" + num(i), here,
+                                  stop_module[(i + stops - 1) % stops],
+                                  board, gbps, hop_cycles, here, ccw_salt));
     }
     return ids;
 }
@@ -110,11 +105,13 @@ compile(const TopologyDesc &desc, const TopoParams &params, TopoGraph &graph,
         Layout &layout)
 {
     const uint32_t n = params.num_modules;
-    fatal_if(n < 2, "topology '", desc.spec, "' needs at least two modules");
-    fatal_if(params.link_gbps <= 0.0,
-             "topology links need positive bandwidth");
+    fatal_if(n == 0, "topology '", desc.spec, "' needs at least one module");
     graph.nodes = n;
     layout.nodes = n;
+    if (n == 1)
+        return; // nothing to connect: the on-chip case
+    fatal_if(params.link_gbps <= 0.0,
+             "topology links need positive bandwidth");
 
     // The configured link bandwidth is the aggregate of one physical
     // link (the paper's "768 GB/s per link"); each direction gets half.
@@ -138,8 +135,8 @@ compile(const TopologyDesc &desc, const TopoParams &params, TopoGraph &graph,
         layout.mesh_rows = rows;
         layout.mesh_cols = cols;
         layout.mesh_link_of.assign(static_cast<size_t>(n) * n, -1);
-        // Same a-major / b-inner emission order, names, and fault salts
-        // as the legacy MeshFabric constructor.
+        // Pinned a-major / b-inner emission order, names, and fault
+        // salts (3 + downstream node).
         for (uint32_t a = 0; a < n; ++a) {
             const uint32_t ax = a % cols, ay = a / cols;
             for (uint32_t b = 0; b < n; ++b) {
@@ -149,17 +146,9 @@ compile(const TopologyDesc &desc, const TopoParams &params, TopoGraph &graph,
                 if (dist != 1)
                     continue;
                 layout.mesh_link_of[static_cast<size_t>(a) * n + b] =
-                    static_cast<int32_t>(graph.links.size());
-                TopoLinkDesc l;
-                l.name = "mesh." + num(a) + "->" + num(b);
-                l.src = a;
-                l.dst = b;
-                l.board = board;
-                l.gbps = per_dir;
-                l.hop_cycles = hop;
-                l.fault_upstream = a;
-                l.fault_salt = 3 + b;
-                graph.links.push_back(std::move(l));
+                    static_cast<int32_t>(
+                        addLink(graph, "mesh." + num(a) + "->" + num(b), a,
+                                b, board, per_dir, hop, a, 3 + b));
             }
         }
         return;
@@ -217,17 +206,33 @@ compile(const TopologyDesc &desc, const TopoParams &params, TopoGraph &graph,
                                   params.pkg_link_hop_cycles, 8, 9);
         return;
       }
+      case TopoKind::Ports: {
+        // Section 3.3.1's port abstraction: each module owns one egress
+        // and one ingress port, meeting at a central switch (node n).
+        // The hop latency splits across the two port traversals so one
+        // send costs exactly one hop end to end; both ports fault-key
+        // on their module, salts 4/5 keeping their error streams apart.
+        graph.switches = 1;
+        for (uint32_t i = 0; i < n; ++i) {
+            layout.egress.push_back(addLink(graph, "ports.egress" + num(i),
+                                            i, n, board, per_dir, hop / 2,
+                                            i, 4));
+            layout.ingress.push_back(
+                addLink(graph, "ports.ingress" + num(i), n, i, board,
+                        per_dir, hop - hop / 2, i, 5));
+        }
+        return;
+      }
     }
     panic("unknown topology kind");
 }
 
 /**
  * Candidate link sequences for moving from stop @p s to stop @p d on a
- * ring layer — the legacy RingFabric selection, expressed as routes:
- * strict shortest path picks one direction, an equal-distance tie
- * yields [cw, ccw] (the fabric's toggle alternates over them), and a
- * 2-stop ring always goes clockwise so the one physical link pair is
- * not double-counted.
+ * ring layer: strict shortest path picks one direction, an
+ * equal-distance tie yields [cw, ccw] (the fabric's toggle alternates
+ * over them), and a 2-stop ring always goes clockwise so the one
+ * physical link pair is not double-counted.
  */
 std::vector<LinkSeq>
 ringSegment(const RingLinks &ring, uint32_t s, uint32_t d)
@@ -279,7 +284,7 @@ crossConcat(const std::vector<LinkSeq> &a, const std::vector<LinkSeq> &b)
     return out;
 }
 
-/** XY route on the mesh: exactly the walk MeshFabric::send() took. */
+/** XY route on the mesh: X first, then Y. */
 LinkSeq
 meshRoute(const Layout &layout, uint32_t src, uint32_t dst)
 {
@@ -413,6 +418,9 @@ computeRoutes(const TopologyDesc &desc, const TopoGraph &graph,
               case TopoKind::Package:
                 set.candidates = hierRoute(layout, s, d);
                 break;
+              case TopoKind::Ports:
+                set.candidates = {{layout.egress[s], layout.ingress[d]}};
+                break;
             }
         }
     }
@@ -440,7 +448,8 @@ verifyRoutes(const TopoGraph &graph, const RouteTable &table)
                     problems.push_back("empty route for " + pairTag(s, d));
                     continue;
                 }
-                std::vector<bool> visited(graph.nodes, false);
+                std::vector<bool> visited(graph.nodes + graph.switches,
+                                          false);
                 visited[s] = true;
                 uint32_t at = s;
                 bool bad = false;
@@ -486,6 +495,7 @@ checkTopology(const TopologyDesc &desc, uint32_t num_modules)
     }
     switch (desc.kind) {
       case TopoKind::Ring:
+      case TopoKind::Ports:
         break;
       case TopoKind::Mesh2D:
         if (!desc.meshAuto() &&

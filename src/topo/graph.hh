@@ -1,17 +1,18 @@
 /**
  * @file
  * Compiled topology: a graph of named nodes (GPMs) and directed links,
- * plus deterministic per-hop routing tables. The builders reproduce the
- * legacy RingFabric / MeshFabric layouts exactly — same link names,
- * same per-direction bandwidth split, same fault-plan seeding — so the
- * table-routed fabric is bit-identical to them; ring-of-rings and
- * multi-package graphs extend the same machinery (docs/TOPOLOGY.md).
+ * plus deterministic per-hop routing tables. Link names, emission
+ * order, per-direction bandwidth split and fault-plan seeding are part
+ * of the contract: the ring, mesh and port builders reproduce the
+ * hand-written fabrics they replaced bit for bit (tests/
+ * legacy_fabrics.hh keeps those as the parity reference), and
+ * ring-of-rings and multi-package graphs extend the same machinery
+ * (docs/TOPOLOGY.md).
  *
  * Routing is computed once at build time. Every (src, dst) pair gets
  * one or more candidate routes (ordered link sequences); pairs with
  * several candidates are equal-cost ties that the fabric alternates
- * over with a global toggle, exactly like the legacy ring balanced its
- * equal-distance routes.
+ * over with a global toggle.
  */
 
 #ifndef MCMGPU_TOPO_GRAPH_HH
@@ -55,11 +56,19 @@ struct TopoParams
     bool board_level_links = false;
 };
 
-/** The compiled node/link graph. */
+/** The compiled node/link graph. Nodes 0 .. nodes-1 are the modules,
+ *  the only route endpoints; switches are transit-only vertices
+ *  numbered after them (the port model's central switch). */
 struct TopoGraph
 {
     uint32_t nodes = 0;
+    uint32_t switches = 0;
     std::vector<TopoLinkDesc> links;
+
+    /** Link @p l starts at a module, so its bytes are inter-module
+     *  traffic; a link out of a switch re-carries bytes that a module's
+     *  link already counted. */
+    bool leavesModule(const TopoLinkDesc &l) const { return l.src < nodes; }
 
     bool
     hasBoardLinks() const
@@ -111,14 +120,16 @@ struct TopoIssue
 /**
  * Compile @p desc into nodes and links. The desc must have passed
  * checkTopology() for @p params.num_modules; violations are fatal
- * here, not diagnosed.
+ * here, not diagnosed. A single module compiles to a graph without
+ * links, whatever the family: it has no inter-module traffic.
  */
 TopoGraph buildTopoGraph(const TopologyDesc &desc, const TopoParams &params);
 
 /**
  * Deterministic routing tables for @p graph: dimension-order (XY) on
  * the mesh, shortest-path with tie candidates on rings, hierarchical
- * local/express/local on ring-of-rings and package graphs.
+ * local/express/local on ring-of-rings and package graphs, and egress
+ * then ingress port through the switch on the port model.
  *
  * With @p equal_cost_alternates set (the adaptive route policy), mesh
  * pairs whose endpoints differ in both dimensions additionally get the
@@ -147,8 +158,8 @@ std::vector<std::string> verifyRoutes(const TopoGraph &graph,
 std::vector<TopoIssue> checkTopology(const TopologyDesc &desc,
                                      uint32_t num_modules);
 
-/** The most-square R x C grid covering @p nodes (legacy MeshFabric
- *  behaviour: a prime count degenerates to a 1 x N line). */
+/** The most-square R x C grid covering @p nodes (a prime count
+ *  degenerates to a 1 x N line). */
 void mostSquareGrid(uint32_t nodes, uint32_t &rows, uint32_t &cols);
 
 } // namespace topo

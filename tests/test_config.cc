@@ -8,6 +8,7 @@
 
 #include "common/config.hh"
 #include "common/units.hh"
+#include "topo/fabric.hh"
 
 namespace mcmgpu {
 namespace {
@@ -28,7 +29,7 @@ TEST(Config, Table3Baseline)
     EXPECT_DOUBLE_EQ(c.dram_latency_ns, 100.0);
     EXPECT_DOUBLE_EQ(c.link_gbps, 768.0);
     EXPECT_EQ(c.link_hop_cycles, 32u);
-    EXPECT_EQ(c.fabric, FabricKind::Ring);
+    EXPECT_EQ(c.topology, "ring");
     EXPECT_EQ(c.cta_sched, CtaSchedPolicy::CentralizedRR);
     EXPECT_EQ(c.page_policy, PagePolicy::FineInterleave);
     EXPECT_EQ(c.l15_alloc, L15Alloc::Off);
@@ -41,7 +42,8 @@ TEST(Config, MonolithicScalesProportionally)
     EXPECT_DOUBLE_EQ(c32.dram_total_gbps, 384.0);
     EXPECT_EQ(c32.l2.size_bytes, 2 * MiB);
     EXPECT_EQ(c32.num_modules, 1u);
-    EXPECT_EQ(c32.fabric, FabricKind::Ideal);
+    EXPECT_TRUE(Fabric::create(c32)->graph().links.empty())
+        << "one die: the ideal on-chip fabric";
 
     GpuConfig c256 = configs::monolithic(256);
     EXPECT_DOUBLE_EQ(c256.dram_total_gbps, 3072.0);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the extensions beyond the paper's baseline design: the
- * dynamic (work-stealing) CTA scheduler it leaves to future work, and
- * the mesh fabric alternative it mentions alongside the ring.
+ * dynamic (work-stealing) CTA scheduler it leaves to future work. (The
+ * mesh fabric alternative it mentions alongside the ring is tested with
+ * the other topologies in test_ring.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "common/log.hh"
 #include "common/units.hh"
 #include "gpu/cta_sched.hh"
-#include "noc/ring.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -139,90 +139,6 @@ TEST(DynamicScheduler, ImbalancedKernelFinishesFasterThanStatic)
     RunResult r_dyn = Simulator::run(dyn, w);
     EXPECT_LT(r_dyn.cycles, r_dist.cycles)
         << "work stealing must beat static batches on imbalanced grids";
-}
-
-// --- MeshFabric ---------------------------------------------------------------
-
-TEST(MeshFabric, FourNodesFormTwoByTwo)
-{
-    MeshFabric mesh(4, 768.0, 32);
-    EXPECT_EQ(mesh.cols(), 2u);
-    EXPECT_EQ(mesh.rows(), 2u);
-}
-
-TEST(MeshFabric, AdjacentAndDiagonalHops)
-{
-    MeshFabric mesh(4, 768.0, 32);
-    EXPECT_EQ(mesh.send(0, 1, 16, 0).hops, 1u);
-    EXPECT_EQ(mesh.send(0, 2, 16, 0).hops, 1u);
-    EXPECT_EQ(mesh.send(0, 3, 16, 0).hops, 2u) << "diagonal = X then Y";
-    EXPECT_EQ(mesh.send(1, 1, 16, 0).hops, 0u);
-}
-
-TEST(MeshFabric, XyRoutingIsMinimal)
-{
-    MeshFabric mesh(16, 768.0, 1); // 4x4
-    for (ModuleId s = 0; s < 16; ++s) {
-        for (ModuleId d = 0; d < 16; ++d) {
-            uint32_t sx = s % 4, sy = s / 4, dx = d % 4, dy = d / 4;
-            uint32_t manhattan = (sx > dx ? sx - dx : dx - sx) +
-                                 (sy > dy ? sy - dy : dy - sy);
-            EXPECT_EQ(mesh.send(s, d, 16, 0).hops, manhattan);
-        }
-    }
-}
-
-TEST(MeshFabric, EightNodesFormTwoByFour)
-{
-    MeshFabric mesh(8, 768.0, 1);
-    EXPECT_EQ(mesh.rows() * mesh.cols(), 8u);
-    EXPECT_EQ(mesh.rows(), 2u);
-    EXPECT_EQ(mesh.cols(), 4u);
-}
-
-TEST(MeshFabric, BandwidthAccountedPerHop)
-{
-    MeshFabric mesh(4, 768.0, 0);
-    mesh.send(0, 3, 1000, 0); // 2 hops
-    EXPECT_EQ(mesh.injectedBytes(), 1000u);
-    EXPECT_EQ(mesh.linkBytes(), 2000u);
-}
-
-TEST(MeshFabric, FactoryAndEndToEnd)
-{
-    using namespace workloads;
-    GpuConfig cfg = configs::mcmBasic();
-    cfg.fabric = FabricKind::Mesh;
-    cfg.name = "mcm-mesh";
-    auto f = Fabric::create(cfg);
-    EXPECT_EQ(f->send(0, 3, 16, 0).hops, 2u);
-
-    // A full simulation runs on the mesh and produces sane results.
-    setQuietLogging(true);
-    WorkloadBuilder b("meshy", "meshy", Category::MemoryIntensive);
-    ArrayRef in{b.alloc(4 * MiB), 4 * MiB};
-    ArrayRef out{b.alloc(4 * MiB), 4 * MiB};
-    KernelSpec k;
-    k.name = "meshy";
-    k.num_ctas = 256;
-    k.warps_per_cta = 4;
-    k.items_per_warp = 8;
-    k.compute_per_item = 2;
-    k.arrays = {in, out};
-    k.accesses = {part(0), part(1, true)};
-    b.launch(k, 1);
-    Workload w = b.build();
-    RunResult r = Simulator::run(cfg, w);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.inter_module_bytes, 0u);
-}
-
-TEST(MeshFabric, InvalidUseRejected)
-{
-    EXPECT_ANY_THROW(MeshFabric(1, 768.0, 1));
-    EXPECT_ANY_THROW(MeshFabric(4, -1.0, 1));
-    MeshFabric mesh(4, 768.0, 1);
-    EXPECT_ANY_THROW(mesh.send(0, 9, 16, 0));
 }
 
 } // namespace

@@ -210,6 +210,40 @@ TEST_F(PdesTest, StatsAndFabricJsonByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(files, 3u);
 }
 
+TEST_F(PdesTest, PortModelRunsParallelByteIdentically)
+{
+    // The port model's lookahead is one full hop (egress + ingress), so
+    // a staged, distributed ports machine is eligible like the ring.
+    const Workload w = crossTrafficWorkload();
+    auto portsConfig = [](uint32_t threads) {
+        GpuConfig c = pdesConfig(threads).withTopology("ports");
+        return c.withName("mcm-ports+staged-dist");
+    };
+    EXPECT_TRUE(GpuSystem(portsConfig(2)).simEngine().parallel());
+
+    TempDir d2("ports2"), d4("ports4");
+    obs::Options opt;
+    opt.stats_json = true;
+    opt.sample_period = 512;
+    opt.out_dir = d2.str();
+    obs::setOptions(opt);
+    const RunResult r2 = Simulator::run(portsConfig(2), w);
+    opt.out_dir = d4.str();
+    obs::setOptions(opt);
+    const RunResult r4 = Simulator::run(portsConfig(4), w);
+    ASSERT_EQ(r2.status, RunStatus::Finished);
+    EXPECT_GT(r2.inter_module_bytes, 0u);
+    expectSameResult(r2, r4);
+
+    obs::Recorder namer(opt, "mcm-ports+staged-dist", w.abbr, 4);
+    for (const char *artifact : {"stats", "timeline", "fabric"}) {
+        const std::string rel =
+            fs::path(namer.outputPath(artifact)).filename().string();
+        EXPECT_EQ(slurp(d2.str() + "/" + rel), slurp(d4.str() + "/" + rel))
+            << rel;
+    }
+}
+
 TEST_F(PdesTest, OneThreadIsTheSerialEngine)
 {
     // --sim-threads 1 never activates domains: same code path as the

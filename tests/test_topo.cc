@@ -2,10 +2,10 @@
  * @file
  * Tests for the topology subsystem: spec parsing, structured config
  * validation, routing-table properties (connected, loop-free,
- * deterministic), bit-exact parity of the table-routed fabric with the
- * legacy RingFabric/MeshFabric, hierarchical routing on ring-of-rings
- * and multi-package graphs, and mesh deadlock injection under credit
- * flow control.
+ * deterministic), bit-exact parity of the compiled ring, mesh and port
+ * fabrics with the hand-written references in legacy_fabrics.hh,
+ * hierarchical routing on ring-of-rings and multi-package graphs, and
+ * mesh deadlock injection under credit flow control.
  */
 
 #include <gtest/gtest.h>
@@ -13,18 +13,17 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/units.hh"
-#include "noc/ring.hh"
+#include "legacy_fabrics.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "topo/desc.hh"
+#include "topo/fabric.hh"
 #include "topo/graph.hh"
-#include "topo/table_fabric.hh"
 #include "workloads/patterns.hh"
 
 namespace mcmgpu {
 namespace {
 
-using topo::TableRoutedFabric;
 using topo::TopoGraph;
 using topo::TopoKind;
 using topo::TopologyDesc;
@@ -77,6 +76,8 @@ TEST(TopoParse, AcceptsEveryFamily)
     TopologyDesc pkg = parsed("package:2");
     EXPECT_EQ(pkg.kind, TopoKind::Package);
     EXPECT_EQ(pkg.packages, 2u);
+
+    EXPECT_EQ(parsed("ports").kind, TopoKind::Ports);
 }
 
 TEST(TopoParse, RejectsMalformedSpecs)
@@ -94,6 +95,14 @@ TEST(TopoParse, RejectsMalformedSpecs)
     EXPECT_FALSE(topo::parseTopology("package:", d, err));
     EXPECT_FALSE(topo::parseTopology("package:0", d, err));
     EXPECT_FALSE(topo::parseTopology("", d, err));
+    EXPECT_FALSE(topo::parseTopology("ports:2", d, err));
+    // A trailing ':' with nothing after it is a typo in every family,
+    // never a request for the default (bare mesh2d is the auto grid).
+    for (const char *spec : {"ring:", "mesh2d:", "ring-of-rings:",
+                             "package:", "ports:"}) {
+        EXPECT_FALSE(topo::parseTopology(spec, d, err)) << spec;
+        EXPECT_NE(err.find("empty parameter"), std::string::npos) << err;
+    }
 }
 
 // --- Structured config validation --------------------------------------------
@@ -182,6 +191,15 @@ struct Shape
     uint32_t modules;
 };
 
+/** Names each case by its spec and module count (e.g. "ring on 2").
+ *  Without it gtest prints the raw bytes, string pointer included, so
+ *  the test names change from one build to the next. */
+void
+PrintTo(const Shape &s, std::ostream *os)
+{
+    *os << s.spec << " on " << s.modules;
+}
+
 class TopoRoutes : public ::testing::TestWithParam<Shape>
 {
 };
@@ -226,7 +244,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{"ring-of-rings:2/4", 8},
                       Shape{"ring-of-rings:3/3", 9},
                       Shape{"ring-of-rings:4/2", 8}, Shape{"package:2", 8},
-                      Shape{"package:4", 8}, Shape{"package:2", 2}));
+                      Shape{"package:4", 8}, Shape{"package:2", 2},
+                      Shape{"ports", 2}, Shape{"ports", 5},
+                      Shape{"ports", 16}));
 
 TEST(TopoRoutes, CheckTopologyFlagsMismatches)
 {
@@ -246,12 +266,13 @@ TEST(TopoRoutes, CheckTopologyFlagsMismatches)
     EXPECT_TRUE(topo::checkTopology(parsed("mesh2d:2x2"), 4).empty());
 }
 
-// --- Parity with the legacy fabrics ------------------------------------------
+// --- Parity with the hand-written reference fabrics --------------------------
 
 /** Drive both fabrics through an identical deterministic send schedule
  *  and insist on equal arrivals, hops, and byte counters. */
+template <typename Legacy>
 void
-expectSendParity(Fabric &legacy, Fabric &table, uint32_t nodes)
+expectSendParity(Legacy &legacy, Fabric &table, uint32_t nodes)
 {
     Cycle now = 0;
     uint64_t bytes = 32;
@@ -276,20 +297,67 @@ class TopoParity : public ::testing::TestWithParam<uint32_t>
 {
 };
 
+/** The link names of @p fabric in visit order. */
+template <typename AnyFabric>
+std::vector<std::string>
+visitNames(AnyFabric &fabric)
+{
+    std::vector<std::string> names;
+    fabric.visitLinks(
+        [&](const std::string &n, Link &) { names.push_back(n); });
+    return names;
+}
+
 TEST_P(TopoParity, TableRoutedRingMatchesRingFabric)
 {
     const uint32_t nodes = GetParam();
-    RingFabric legacy(nodes, 768.0, 32);
-    TableRoutedFabric table(parsed("ring"), params(nodes));
+    legacy::RingFabric legacy(nodes, 768.0, 32);
+    Fabric table(parsed("ring"), params(nodes));
     expectSendParity(legacy, table, nodes);
 }
 
 TEST_P(TopoParity, TableRoutedMeshMatchesMeshFabric)
 {
     const uint32_t nodes = GetParam();
-    MeshFabric legacy(nodes, 768.0, 32);
-    TableRoutedFabric table(parsed("mesh2d"), params(nodes));
+    legacy::MeshFabric legacy(nodes, 768.0, 32);
+    Fabric table(parsed("mesh2d"), params(nodes));
     expectSendParity(legacy, table, nodes);
+}
+
+TEST_P(TopoParity, TableRoutedPortsMatchesPortsFabric)
+{
+    const uint32_t nodes = GetParam();
+    // An odd hop latency checks the egress/ingress split.
+    legacy::PortsFabric legacy(nodes, 768.0, 33);
+    Fabric table(parsed("ports"), params(nodes, 768.0, 33));
+    expectSendParity(legacy, table, nodes);
+    EXPECT_EQ(visitNames(legacy), visitNames(table));
+
+    // Both ports of a module key their derate and error process on it,
+    // with salts 4 and 5: the per-link seeds must line up exactly.
+    FaultPlan plan;
+    plan.derateLinks(0.5);
+    plan.injectLinkErrors(0.05);
+    plan.withSeed(7);
+    legacy::PortsFabric faulty_legacy(nodes, 768.0, 32, &plan);
+    Fabric faulty_table(parsed("ports"), params(nodes), &plan);
+    Cycle now = 0;
+    for (uint32_t round = 0; round < 100; ++round) {
+        for (uint32_t s = 0; s < nodes; ++s) {
+            for (uint32_t d = 0; d < nodes; ++d) {
+                const FabricTransfer a =
+                    faulty_legacy.send(s, d, 256, now);
+                const FabricTransfer b = faulty_table.send(s, d, 256, now);
+                ASSERT_EQ(a.arrival, b.arrival) << s << "->" << d;
+                now += 31;
+            }
+        }
+    }
+    EXPECT_GT(faulty_table.transientErrors(), 0u)
+        << "error process must fire";
+    EXPECT_EQ(faulty_legacy.transientErrors(),
+              faulty_table.transientErrors());
+    EXPECT_EQ(faulty_legacy.linkBytes(), faulty_table.linkBytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, TopoParity,
@@ -297,12 +365,26 @@ INSTANTIATE_TEST_SUITE_P(NodeCounts, TopoParity,
 
 TEST(TopoParity, RingLinkNamesAndVisitOrderPreserved)
 {
-    RingFabric legacy(4, 768.0, 32);
-    TableRoutedFabric table(parsed("ring"), params(4));
-    std::vector<std::string> a, b;
-    legacy.visitLinks([&](const std::string &n, Link &) { a.push_back(n); });
-    table.visitLinks([&](const std::string &n, Link &) { b.push_back(n); });
-    EXPECT_EQ(a, b) << "sampler counter names/order must not change";
+    legacy::RingFabric legacy(4, 768.0, 32);
+    Fabric table(parsed("ring"), params(4));
+    EXPECT_EQ(visitNames(legacy), visitNames(table))
+        << "sampler counter names/order must not change";
+}
+
+TEST(TopoParity, PortsGainOneHopLookaheadAndHopLatencies)
+{
+    // The two behaviours the compiled port model adds over the
+    // hand-written one: a PDES lookahead of exactly one hop (egress
+    // plus ingress), and per-port latencies in the hop histogram.
+    Fabric f(parsed("ports"), params(4, 768.0, 33));
+    EXPECT_EQ(f.minRouteCycles(), 33u);
+
+    stats::Histogram hops = stats::Histogram::makeLog2("hops", 16);
+    f.setHopHistogram(&hops);
+    const FabricTransfer t = f.send(0, 3, 64, 0);
+    EXPECT_EQ(t.hops, 1u) << "one pass through the switch is one hop";
+    EXPECT_EQ(hops.count(), 2u) << "egress and ingress each record";
+    EXPECT_EQ(hops.sum(), t.arrival);
 }
 
 TEST(TopoParity, FaultPlanSeedingMatchesLegacyRing)
@@ -314,9 +396,8 @@ TEST(TopoParity, FaultPlanSeedingMatchesLegacyRing)
     plan.injectLinkErrors(0.05);
     plan.withSeed(99);
 
-    RingFabric legacy(4, 768.0, 32, &plan);
-    TopoParams p = params(4);
-    TableRoutedFabric table(parsed("ring"), p, &plan);
+    legacy::RingFabric legacy(4, 768.0, 32, &plan);
+    Fabric table(parsed("ring"), params(4), &plan);
 
     Cycle now = 0;
     for (uint32_t round = 0; round < 200; ++round) {
@@ -337,15 +418,15 @@ TEST(TopoParity, FaultPlanSeedingMatchesLegacyRing)
 
 TEST(TopoHier, RingOfRingsRoutesLocalExpressLocal)
 {
-    TableRoutedFabric f(parsed("ring-of-rings:2/4"), params(8));
+    Fabric f(parsed("ring-of-rings:2/4"), params(8));
     // Intra-group stays on the local ring.
-    EXPECT_EQ(f.routeHops(1, 2), 1u);
-    EXPECT_EQ(f.routeHops(1, 3), 2u);
+    EXPECT_EQ(f.send(1, 2, 64, 0).hops, 1u);
+    EXPECT_EQ(f.send(1, 3, 64, 0).hops, 2u);
     // Gateway to gateway: one express hop.
-    EXPECT_EQ(f.routeHops(0, 4), 1u);
+    EXPECT_EQ(f.send(0, 4, 64, 0).hops, 1u);
     // Interior to interior: local to gateway, express, gateway to dst.
-    EXPECT_EQ(f.routeHops(1, 5), 3u);
-    EXPECT_EQ(f.routeHops(2, 6), 5u);
+    EXPECT_EQ(f.send(1, 5, 64, 0).hops, 3u);
+    EXPECT_EQ(f.send(2, 6, 64, 0).hops, 5u);
 
     bool saw_local = false, saw_express = false;
     f.visitLinks([&](const std::string &n, Link &) {
@@ -363,7 +444,7 @@ TEST(TopoHier, PackageTopologyPricesBoardTierSeparately)
     TopoParams p = params(8);
     p.pkg_link_gbps = 256.0;
     p.pkg_link_hop_cycles = 256;
-    TableRoutedFabric f(parsed("package:2"), p);
+    Fabric f(parsed("package:2"), p);
 
     EXPECT_TRUE(f.graph().hasBoardLinks());
     bool saw_board = false;
@@ -390,8 +471,8 @@ TEST(TopoHier, SingleGpmPackagesDegenerateToBoardRing)
 {
     // package:2 over 2 modules: no local rings at all, just the board
     // ring between the two gateway GPMs.
-    TableRoutedFabric f(parsed("package:2"), params(2));
-    EXPECT_EQ(f.routeHops(0, 1), 1u);
+    Fabric f(parsed("package:2"), params(2));
+    EXPECT_EQ(f.send(0, 1, 64, 0).hops, 1u);
     f.visitLinks([&](const std::string &n, Link &) {
         EXPECT_EQ(n.rfind("board.", 0), 0u) << n;
     });
@@ -402,21 +483,42 @@ TEST(TopoHier, SingleGpmPackagesDegenerateToBoardRing)
 
 TEST(TopoCreate, ConfigSpecWinsOverFabricKind)
 {
+    // mcmBasic's fabric kind is a ring; a spec set on top replaces it.
     GpuConfig cfg = configs::mcmBasic().withTopology("mesh2d:2x2");
     auto fabric = Fabric::create(cfg);
     bool saw_mesh = false;
     fabric->visitLinks([&](const std::string &n, Link &) {
         saw_mesh |= n.rfind("mesh.", 0) == 0;
     });
-    EXPECT_TRUE(saw_mesh) << "spec must override FabricKind::Ring";
+    EXPECT_TRUE(saw_mesh) << "spec must override the preset's ring";
+}
+
+TEST(TopoCreate, ConfigSpecSelectsTopology)
+{
+    // The config's spec is the one name of its fabric; presets spell
+    // theirs out.
+    EXPECT_EQ(configs::mcmBasic().topology, "ring");
+    EXPECT_EQ(configs::mcmMesh().topology, "mesh2d:2x2");
+    for (const auto &[spec, prefix] :
+         {std::pair{"ring", "ring."}, std::pair{"mesh2d:2x2", "mesh."},
+          std::pair{"ports", "ports."}}) {
+        auto fabric =
+            Fabric::create(configs::mcmBasic().withTopology(spec));
+        for (const std::string &n : visitNames(*fabric))
+            EXPECT_EQ(n.rfind(prefix, 0), 0u) << spec << ": " << n;
+    }
 }
 
 TEST(TopoCreate, SingleModuleCompilesToIdealFabric)
 {
+    // One module has nothing to connect: any spec compiles to a graph
+    // without links, the ideal on-chip fabric.
     GpuConfig cfg = configs::monolithic(32).withTopology("mesh2d:2x2");
     auto fabric = Fabric::create(cfg);
+    EXPECT_TRUE(fabric->graph().links.empty());
     EXPECT_EQ(fabric->send(0, 0, 4096, 7).arrival, 7u);
     EXPECT_EQ(fabric->linkBytes(), 0u);
+    EXPECT_EQ(fabric->minRouteCycles(), 0u);
 }
 
 // --- Deadlock injection on the mesh ------------------------------------------
@@ -484,7 +586,7 @@ TEST(TopoDeadlock, RingOfRingsEscapeVcCompletes)
 
 /** Sum of bytesCarried over links whose name starts with @p prefix. */
 uint64_t
-bytesOn(TableRoutedFabric &f, const std::string &prefix)
+bytesOn(Fabric &f, const std::string &prefix)
 {
     uint64_t sum = 0;
     f.visitLinks([&](const std::string &n, Link &l) {
@@ -498,10 +600,10 @@ TEST(TopoAdaptive, IdleRingMatchesLegacyToggle)
 {
     // Widely-spaced sends: every link drains between transfers, so all
     // candidate scores tie and the adaptive policy falls back to the
-    // balancing toggle — bit-for-bit the legacy RingFabric behavior.
-    RingFabric legacy(4, 768.0, 32);
-    TableRoutedFabric adaptive(parsed("ring"), params(4), nullptr,
-                               RoutePolicy::Adaptive);
+    // balancing toggle — bit-for-bit the hand-written ring.
+    legacy::RingFabric legacy(4, 768.0, 32);
+    Fabric adaptive(parsed("ring"), params(4), nullptr,
+                    RoutePolicy::Adaptive);
     Cycle now = 0;
     for (uint32_t round = 0; round < 8; ++round) {
         for (uint32_t s = 0; s < 4; ++s) {
@@ -521,8 +623,7 @@ TEST(TopoAdaptive, IdleRingMatchesLegacyToggle)
 
 TEST(TopoAdaptive, CongestedRingDivertsWithoutAdvancingToggle)
 {
-    TableRoutedFabric f(parsed("ring"), params(4), nullptr,
-                        RoutePolicy::Adaptive);
+    Fabric f(parsed("ring"), params(4), nullptr, RoutePolicy::Adaptive);
     // Pile bytes onto the cw 0->1 segment (single-candidate sends:
     // nothing is scored, the toggle does not move).
     for (int i = 0; i < 8; ++i)
@@ -580,8 +681,8 @@ TEST(TopoAdaptive, MeshTablesGainYxAlternatesOnlyWhenAdaptive)
 
 TEST(TopoAdaptive, MeshDivertsAroundHotLink)
 {
-    TableRoutedFabric f(parsed("mesh2d:2x2"), params(4), nullptr,
-                        RoutePolicy::Adaptive);
+    Fabric f(parsed("mesh2d:2x2"), params(4), nullptr,
+             RoutePolicy::Adaptive);
     // Saturate the XY route's first hop (0->1); the YX alternate via
     // 0->2 is idle, so a diagonal send must turn south first.
     for (int i = 0; i < 8; ++i)
