@@ -19,6 +19,14 @@ SimDomain::rngNext()
     return rng_state_;
 }
 
+void
+SimDomain::drainInbox()
+{
+    for (Delivery &d : inbox_)
+        eq_.scheduleDelivered(d.when, d.sched, std::move(d.fn));
+    inbox_.clear();
+}
+
 SimEngine::SimEngine()
 {
     domains_.push_back(std::make_unique<SimDomain>(0));
@@ -51,7 +59,8 @@ SimEngine::deactivateParallel()
     if (!parallel())
         return;
     for (auto &d : domains_) {
-        panic_if(!d->queue().empty() || d->queue().now() != 0,
+        panic_if(!d->queue().empty() || d->queue().now() != 0 ||
+                     !d->inbox_.empty(),
                  "deactivateParallel after events were scheduled");
     }
     stopWorkers();
@@ -99,7 +108,7 @@ SimEngine::pending() const
 {
     size_t n = 0;
     for (const auto &d : domains_)
-        n += d->queue().size();
+        n += d->queue().size() + d->inbox_.size();
     return n;
 }
 
@@ -157,6 +166,19 @@ SimEngine::setSampleHook(Cycle period, std::function<void(Cycle)> hook)
 }
 
 void
+SimEngine::deliver(uint32_t dom, Cycle when, Cycle sched, EventFn fn)
+{
+    domains_[dom]->inbox_.push_back({when, sched, std::move(fn)});
+}
+
+void
+SimEngine::drainInboxes()
+{
+    for (auto &d : domains_)
+        d->drainInbox();
+}
+
+void
 SimEngine::diagnoseWedge(const std::string &why)
 {
     queue(0).diagnoseWedge(why);
@@ -182,20 +204,23 @@ SimEngine::fireBoundariesUpTo(Cycle when)
 }
 
 bool
-SimEngine::globalNext(Cycle &when, Cycle &sched, uint32_t &dom) const
+SimEngine::globalNext(Cycle &when, Cycle &sched) const
 {
     bool found = false;
-    for (uint32_t d = 0; d < domains_.size(); ++d) {
-        Cycle w, s;
-        // peekTimes only moves the queue's internal drain cursor.
-        if (!domains_[d]->queue().peekTimes(w, s))
-            continue;
+    auto consider = [&](Cycle w, Cycle s) {
         if (!found || w < when || (w == when && s < sched)) {
             when = w;
             sched = s;
-            dom = d;
             found = true;
         }
+    };
+    for (const auto &d : domains_) {
+        Cycle w, s;
+        // peekTimes only moves the queue's internal drain cursor.
+        if (d->queue().peekTimes(w, s))
+            consider(w, s);
+        for (const SimDomain::Delivery &e : d->inbox_)
+            consider(e.when, e.sched);
     }
     return found;
 }
@@ -211,12 +236,14 @@ SimEngine::runParallel(Cycle limit)
     const Cycle cap = limit == kCycleMax ? kCycleMax : limit + 1;
     for (;;) {
         Cycle next, next_sched;
-        uint32_t next_dom;
-        if (!globalNext(next, next_sched, next_dom)) {
+        if (!globalNext(next, next_sched)) {
             fireBoundariesUpTo(now());
             return Outcome::Drained;
         }
         if (next > limit) {
+            // Leave the queues as an immediate delivery would have: the
+            // caller may schedule more work before it resumes.
+            drainInboxes();
             fireBoundariesUpTo(now());
             return Outcome::LimitHit;
         }
@@ -231,6 +258,7 @@ SimEngine::runParallel(Cycle limit)
 
         if (deadline_armed_ &&
             std::chrono::steady_clock::now() >= deadline_) {
+            drainInboxes();
             throw SimTimeout(log_detail::concat(
                 "SimTimeout: wall-clock budget of ", wall_timeout_s_,
                 " s exhausted at cycle ", now(), " (", executed(),
@@ -246,6 +274,7 @@ SimEngine::runParallel(Cycle limit)
                 watch_executed_ = execed;
             } else if (next - watch_cycle_ > watchdog_window_ ||
                        execed - watch_executed_ > watchdog_window_) {
+                drainInboxes();
                 queue(0).raiseStallExternal(log_detail::concat(
                     "watchdog: no progress for ", next - watch_cycle_,
                     " cycles / ", execed - watch_executed_,
@@ -269,8 +298,7 @@ void
 SimEngine::executeWindow(Cycle end)
 {
     if (workers_.empty()) {
-        for (auto &d : domains_)
-            d->queue().runWindow(end);
+        runShare(0, end);
         return;
     }
 
@@ -307,8 +335,10 @@ SimEngine::executeWindow(Cycle end)
 void
 SimEngine::runShare(uint32_t slot, Cycle end)
 {
-    for (uint32_t d = slot; d < domains_.size(); d += threads_)
+    for (uint32_t d = slot; d < domains_.size(); d += threads_) {
+        domains_[d]->drainInbox();
         domains_[d]->queue().runWindow(end);
+    }
 }
 
 void

@@ -11,14 +11,16 @@
  * W = min(next + lookahead, limit + 1),
  * execute every domain's events with when < W in parallel, then — at
  * the barrier, single-threaded — let the registered sequencer hook
- * drain the cross-domain message outboxes in (emit cycle, source
- * domain, sequence) order. The lookahead is the compiled topology's
- * minimum inter-GPM route latency, so no request or response message
- * can ever target a cycle inside the window that produced it; messages
- * whose natural arrival lies in the past (remote-store acks, which
- * carry zero residual latency) are delivered at the target domain's
- * current time instead — a bounded, worker-count-independent slip
- * (docs/PDES.md).
+ * merge the cross-domain message outboxes in (emit cycle, source
+ * domain, sequence) order. The hook hands each message's continuation
+ * to deliver(); the worker that owns the target domain inserts it at
+ * the start of the next window. The lookahead is the compiled
+ * topology's minimum inter-GPM route latency, so no request or
+ * response message can ever target a cycle inside the window that
+ * produced it; messages whose natural arrival lies in the past
+ * (remote-store acks, which carry zero residual latency) are delivered
+ * at the target domain's current time instead — a bounded,
+ * worker-count-independent slip (docs/PDES.md).
  *
  * With one domain the engine is a pass-through to the serial
  * EventQueue — same code path, bit-identical behaviour (docs/PDES.md).
@@ -40,7 +42,8 @@
 
 namespace mcmgpu {
 
-/** One GPM's simulation context: an event queue plus an RNG stream. */
+/** One GPM's simulation context: an event queue, an RNG stream, and
+ *  the inbox of barrier deliveries bound for the queue. */
 class SimDomain
 {
   public:
@@ -56,9 +59,25 @@ class SimDomain
     uint64_t rngNext();
 
   private:
+    friend class SimEngine;
+
+    /** A sequencer delivery waiting for the next window. */
+    struct Delivery
+    {
+        Cycle when;
+        Cycle sched;
+        EventFn fn;
+    };
+
+    /** Insert the inbox into the queue with scheduleDelivered, in
+     *  arrival order, and empty it. */
+    void drainInbox();
+
     uint32_t id_;
     EventQueue eq_;
     uint64_t rng_state_;
+
+    std::vector<Delivery> inbox_;
 };
 
 /**
@@ -117,7 +136,8 @@ class SimEngine
      *  serial engine would have folded into the emitting event). */
     uint64_t executed() const;
 
-    /** Pending events across all domains. */
+    /** Pending events across all domains, undelivered inbox entries
+     *  included. */
     size_t pending() const;
 
     /** Progress marks across all domains (see EventQueue). */
@@ -137,6 +157,17 @@ class SimEngine
      *  after every window. */
     void setSequencerHook(std::function<void()> hook)
     { sequencer_hook_ = std::move(hook); }
+
+    /**
+     * Hand @p fn to domain @p dom as a delivered event (sequencer hook
+     * only). The worker that owns the domain inserts it with
+     * EventQueue::scheduleDelivered(@p when, @p sched, fn) at the start
+     * of the next window; deliveries to one domain are inserted in call
+     * order, so the queue sees the insert sequence an immediate
+     * scheduleDelivered would have produced. A run() that returns
+     * LimitHit inserts every undelivered entry before it returns.
+     */
+    void deliver(uint32_t dom, Cycle when, Cycle sched, EventFn fn);
 
     // --- Forwarded queue services ------------------------------------------
     /** Serial: arms queue 0's watchdog. Parallel: engine-level check at
@@ -158,9 +189,13 @@ class SimEngine
   private:
     Outcome runParallel(Cycle limit);
 
-    /** Minimum (when, sched_when, domain) over all domains; returns
-     *  false when every queue is empty. */
-    bool globalNext(Cycle &when, Cycle &sched, uint32_t &dom) const;
+    /** Minimum (when, sched_when) over all domains' queues and inboxes;
+     *  returns false when nothing is pending. */
+    bool globalNext(Cycle &when, Cycle &sched) const;
+
+    /** Insert every domain's undelivered inbox (a run is returning or
+     *  aborting between windows). */
+    void drainInboxes();
 
     /** Fire every unfired sample boundary at or before @p when. */
     void fireBoundariesUpTo(Cycle when);
@@ -168,7 +203,8 @@ class SimEngine
     void startWorkers();
     void stopWorkers();
     void workerLoop(uint32_t slot);
-    /** Run one barrier round: every domain executes events < @p end. */
+    /** Run one barrier round: every domain inserts its inbox, then
+     *  executes events < @p end. */
     void executeWindow(Cycle end);
     void runShare(uint32_t slot, Cycle end);
 

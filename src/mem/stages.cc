@@ -56,30 +56,25 @@ TxnPhase
 FabricStage::service(MemTxn &txn)
 {
     if (txn.phase == TxnPhase::FabReq) {
-        if (txn.remote) {
-            const uint64_t req_bytes =
-                kHeaderBytes + (txn.is_store ? txn.bytes : 0u);
-            const FabricTransfer tr =
-                fabric_.send(txn.src, txn.home_module, req_bytes, txn.t);
-            txn.t = tr.arrival;
-            // Routes that cross an inter-package link price at board
-            // energy; single-tier fabrics report board = false and the
-            // machine-wide link domain applies as before.
-            energy_.account(tr.board ? Domain::Board : link_domain_,
-                            req_bytes);
-        }
+        if (txn.remote)
+            txn.t = hop(txn.src, txn.home_module, requestBytes(txn), txn.t);
         return TxnPhase::L2Lookup;
     }
     // FabResp: loads only — stores are posted and complete at the home.
-    if (txn.remote) {
-        const uint64_t resp_bytes = kHeaderBytes + txn.bytes;
-        const FabricTransfer tr =
-            fabric_.send(txn.home_module, txn.src, resp_bytes, txn.t);
-        txn.t = tr.arrival;
-        energy_.account(tr.board ? Domain::Board : link_domain_,
-                        resp_bytes);
-    }
+    if (txn.remote)
+        txn.t = hop(txn.home_module, txn.src, responseBytes(txn), txn.t);
     return TxnPhase::Complete;
+}
+
+Cycle
+FabricStage::hop(ModuleId from, ModuleId to, uint32_t bytes, Cycle t)
+{
+    const FabricTransfer tr = fabric_.send(from, to, bytes, t);
+    // Routes that cross an inter-package link price at board energy;
+    // single-tier fabrics report board = false and the machine-wide
+    // link domain applies as before.
+    energy_.account(tr.board ? Domain::Board : link_domain_, bytes);
+    return tr.arrival;
 }
 
 void
@@ -373,7 +368,6 @@ MemPipeline::enableDomains(SimEngine &engine)
              "domain mode needs one domain per module");
     engine_ = &engine;
     shards_.resize(cfg_.num_modules);
-    peak_pos_.assign(cfg_.num_modules, 0);
     buildShardHistograms();
 }
 
@@ -388,7 +382,6 @@ MemPipeline::disableDomains()
     }
     engine_ = nullptr;
     shards_.clear();
-    peak_pos_.clear();
 }
 
 void
@@ -895,8 +888,9 @@ MemPipeline::noteStage(TxnPhase ph, Cycle before, MemTxn &txn)
     const Cycle dt = txn.t - before;
     if (!shards_.empty()) {
         // Source-side stages shard by txn.src, home-side by the home
-        // module — the domain whose event (or whose barrier message)
-        // performed the step, so every shard has a single writer.
+        // module — the domain whose event performed the step, so every
+        // shard has a single writer. Remote fabric hops are summed by
+        // the sequencer instead (seq_fab_cycles_).
         DomainShard &s = (ph == TxnPhase::L15 || ph == TxnPhase::FabReq)
                              ? shards_[txn.src]
                              : shards_[txn.home_module];
@@ -928,143 +922,141 @@ MemPipeline::noteStage(TxnPhase ph, Cycle before, MemTxn &txn)
 
 // ----------------------------------------------- Domain mode (docs/PDES.md)
 
+namespace {
+
+/**
+ * K-way merge of @p n per-domain logs, each already ordered by
+ * @p before: visits every entry in global order with ties going to the
+ * lower domain — the order a stable sort of the concatenated logs
+ * gives. @p pos holds the per-log cursors.
+ */
+template <typename LogOf, typename Before, typename Visit>
+void
+mergeLogs(size_t n, std::vector<size_t> &pos, LogOf log_of, Before before,
+          Visit visit)
+{
+    pos.assign(n, 0);
+    for (;;) {
+        size_t best = n;
+        for (size_t d = 0; d < n; ++d) {
+            if (pos[d] < log_of(d).size() &&
+                (best == n ||
+                 before(log_of(d)[pos[d]], log_of(best)[pos[best]])))
+                best = d;
+        }
+        if (best == n)
+            return;
+        visit(log_of(best)[pos[best]++]);
+    }
+}
+
+} // namespace
+
 void
 MemPipeline::emitCross(MemTxn &txn)
 {
-    // The fabric hop is serviced by the barrier sequencer; park the
-    // transaction in the emitting domain's outbox stamped with this
+    // The fabric hop is priced by the barrier sequencer; hand it every
+    // field it needs while the transaction is hot, stamped with this
     // event's calendar position so the sequencer can replay the serial
     // service order.
     const bool resp = txn.phase == TxnPhase::FabResp;
-    const uint32_t d = resp ? txn.home_module : txn.src;
-    EventQueue &q = engine_->queue(d);
-    CrossMsg m;
-    m.kind = resp ? CrossMsg::Resp : CrossMsg::Req;
-    m.src_dom = d;
-    m.emit_t = q.now();
-    m.emit_sched = q.currentSchedWhen();
-    m.txn = &txn;
-    shards_[d].outbox.push_back(m);
+    const ModuleId from = resp ? txn.home_module : txn.src;
+    const ModuleId to = resp ? txn.src : txn.home_module;
+    const EventQueue &q = engine_->queue(from);
+    shards_[from].outbox.push_back(
+        {q.now(), q.currentSchedWhen(), txn.t, &txn, from, to,
+         resp ? FabricStage::responseBytes(txn)
+              : FabricStage::requestBytes(txn),
+         resp ? CrossMsg::Resp : CrossMsg::Req, false});
 }
 
 void
 MemPipeline::emitStoreAck(MemTxn &txn, bool inline_ack)
 {
-    EventQueue &q = engine_->queue(txn.home_module);
-    CrossMsg m;
-    m.kind = CrossMsg::Ack;
-    m.inline_ack = inline_ack;
-    m.src_dom = txn.home_module;
-    m.emit_t = q.now();
-    m.emit_sched = q.currentSchedWhen();
-    m.when = txn.t;
-    // Serial either completes the store inside this event (zero-latency
-    // tail: inherit this event's schedule cycle) or schedules a
-    // Complete event from it (schedule cycle = now); mirror both so the
-    // delivered ack sorts where the serial completion ran.
-    m.sched = inline_ack ? q.currentSchedWhen() : q.now();
-    m.txn = &txn;
-    shards_[txn.home_module].outbox.push_back(m);
+    const EventQueue &q = engine_->queue(txn.home_module);
+    shards_[txn.home_module].outbox.push_back(
+        {q.now(), q.currentSchedWhen(), txn.t, &txn, txn.home_module,
+         txn.src, 0, CrossMsg::Ack, inline_ack});
 }
 
 void
 MemPipeline::processMessages()
 {
-    // Merge the per-domain outboxes into (emit cycle, emitting event's
-    // schedule cycle, domain, sequence) order — each outbox is already
-    // internally ordered, so a stable sort keyed on the first three
-    // fields reproduces it.
-    seq_buf_.clear();
-    for (DomainShard &s : shards_) {
-        seq_buf_.insert(seq_buf_.end(), s.outbox.begin(), s.outbox.end());
+    // Each outbox is already ordered by (emit cycle, schedule cycle) —
+    // a domain executes its events in calendar order — so merging them
+    // yields (emit cycle, schedule cycle, domain, sequence) order.
+    mergeLogs(
+        shards_.size(), merge_pos_,
+        [this](size_t d) -> const std::vector<CrossMsg> & {
+            return shards_[d].outbox;
+        },
+        [](const CrossMsg &a, const CrossMsg &b) {
+            return a.emit_t < b.emit_t ||
+                   (a.emit_t == b.emit_t && a.emit_sched < b.emit_sched);
+        },
+        [this](const CrossMsg &m) { sequence(m); });
+    for (DomainShard &s : shards_)
         s.outbox.clear();
-    }
-    if (!seq_buf_.empty()) {
-        std::stable_sort(seq_buf_.begin(), seq_buf_.end(),
-                         [](const CrossMsg &a, const CrossMsg &b) {
-                             if (a.emit_t != b.emit_t)
-                                 return a.emit_t < b.emit_t;
-                             if (a.emit_sched != b.emit_sched)
-                                 return a.emit_sched < b.emit_sched;
-                             return a.src_dom < b.src_dom;
-                         });
-        for (CrossMsg &m : seq_buf_) {
-            MemTxn &txn = *m.txn;
-            MemTxn *tp = &txn;
-            switch (m.kind) {
-              case CrossMsg::Req: {
-                const Cycle before = txn.t;
-                serviceOne(txn); // fabric request hop -> L2Lookup
-                noteStage(TxnPhase::FabReq, before, txn);
-                engine_->queue(txn.home_module)
-                    .scheduleDelivered(txn.t, m.emit_t,
-                                       [this, tp] { stagedAdvance(*tp); });
-                break;
-              }
-              case CrossMsg::Resp: {
-                const Cycle before = txn.t;
-                serviceOne(txn); // fabric response hop -> Complete
-                noteStage(TxnPhase::FabResp, before, txn);
-                engine_->queue(txn.src)
-                    .scheduleDelivered(txn.t, m.emit_t,
-                                       [this, tp] { stagedAdvance(*tp); });
-                break;
-              }
-              case CrossMsg::Ack: {
-                if (m.inline_ack)
-                    ++exec_inline_acks_;
-                // Relaxed completion: the acceptance cycle txn.t is the
-                // value handed to the SM, but the source domain may have
-                // run ahead of it within the window that just drained —
-                // deliver at its current time then. The SM side already
-                // tolerates late wake-ups (memDone wakes at
-                // max(done, now)), and the slip is bounded by one
-                // window, deterministic for every worker count
-                // (docs/PDES.md).
-                EventQueue &sq = engine_->queue(txn.src);
-                const Cycle at = std::max(m.when, sq.now());
-                sq.scheduleDelivered(at, m.sched,
-                                     [this, tp] { completeTxn(*tp); });
-                break;
-              }
-            }
-        }
-    }
     mergePeakLog();
+}
+
+void
+MemPipeline::sequence(const CrossMsg &m)
+{
+    MemTxn *tp = m.txn;
+    if (m.kind == CrossMsg::Ack) {
+        if (m.inline_ack)
+            ++exec_inline_acks_;
+        // Relaxed completion: the acceptance cycle txn.t is the value
+        // handed to the SM, but the source domain may have run ahead of
+        // it within the window that just drained — deliver at its
+        // current time then. The SM side already tolerates late
+        // wake-ups (memDone wakes at max(done, now)), and the slip is
+        // bounded by one window, deterministic for every worker count
+        // (docs/PDES.md).
+        const Cycle at = std::max(m.t, engine_->queue(m.to).now());
+        // Serial either completes the store inside the emitting event
+        // (zero-latency tail: inherit its schedule cycle) or schedules a
+        // Complete event from it (schedule cycle = its cycle); mirror
+        // both so the ack sorts where the serial completion ran.
+        const Cycle sched = m.inline_ack ? m.emit_sched : m.emit_t;
+        engine_->deliver(m.to, at, sched, [this, tp] { completeTxn(*tp); });
+        return;
+    }
+    // Request hop -> L2Lookup at the home, response hop -> Complete at
+    // the source; the delivered event resumes the transaction there.
+    const bool resp = m.kind == CrossMsg::Resp;
+    const Cycle at = fabric_stage_.hop(m.from, m.to, m.bytes, m.t);
+    seq_fab_cycles_[resp ? 1 : 0] += at - m.t;
+    const TxnPhase next = resp ? TxnPhase::Complete : TxnPhase::L2Lookup;
+    engine_->deliver(m.to, at, m.emit_t, [this, tp, at, next] {
+        tp->t = at;
+        tp->phase = next;
+        stagedAdvance(*tp);
+    });
 }
 
 void
 MemPipeline::mergePeakLog()
 {
-    // K-way merge of the per-domain inflight transition logs (each
-    // sorted by construction: events execute in calendar order) into
-    // the running global count; the peak is evaluated on launches, the
-    // same edge the serial scalar updates on.
-    for (size_t d = 0; d < shards_.size(); ++d)
-        peak_pos_[d] = 0;
-    for (;;) {
-        size_t best = shards_.size();
-        for (size_t d = 0; d < shards_.size(); ++d) {
-            if (peak_pos_[d] >= shards_[d].peak_log.size())
-                continue;
-            const PeakEntry &e = shards_[d].peak_log[peak_pos_[d]];
-            if (best == shards_.size())
-                best = d;
-            else {
-                const PeakEntry &b = shards_[best].peak_log[peak_pos_[best]];
-                if (e.when < b.when ||
-                    (e.when == b.when && e.sched < b.sched))
-                    best = d;
-            }
-        }
-        if (best == shards_.size())
-            break;
-        const PeakEntry &e = shards_[best].peak_log[peak_pos_[best]++];
-        merged_inflight_ += e.delta;
-        if (e.delta > 0 &&
-            static_cast<double>(merged_inflight_) > merged_peak_)
-            merged_peak_ = static_cast<double>(merged_inflight_);
-    }
+    // Replay the per-domain inflight transition logs (each sorted by
+    // construction: events execute in calendar order) into the running
+    // global count; the peak is evaluated on launches, the same edge
+    // the serial scalar updates on.
+    mergeLogs(
+        shards_.size(), merge_pos_,
+        [this](size_t d) -> const std::vector<PeakEntry> & {
+            return shards_[d].peak_log;
+        },
+        [](const PeakEntry &a, const PeakEntry &b) {
+            return a.when < b.when || (a.when == b.when && a.sched < b.sched);
+        },
+        [this](const PeakEntry &e) {
+            merged_inflight_ += e.delta;
+            if (e.delta > 0 &&
+                static_cast<double>(merged_inflight_) > merged_peak_)
+                merged_peak_ = static_cast<double>(merged_inflight_);
+        });
     for (DomainShard &s : shards_)
         s.peak_log.clear();
 }
@@ -1096,6 +1088,8 @@ MemPipeline::mergeShards()
             rec_->remoteStoreLatency().merge(*s.lat[3]);
         }
     }
+    stage_fab_req_cycles_ += static_cast<double>(seq_fab_cycles_[0]);
+    stage_fab_resp_cycles_ += static_cast<double>(seq_fab_cycles_[1]);
 }
 
 bool

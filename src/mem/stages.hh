@@ -100,6 +100,24 @@ class FabricStage : public MemStage
     const char *name() const override { return "fabric"; }
     TxnPhase service(MemTxn &txn) override;
 
+    /** Request packet size: header plus the payload of a store. */
+    static uint32_t
+    requestBytes(const MemTxn &txn)
+    {
+        return kHeaderBytes + (txn.is_store ? txn.bytes : 0u);
+    }
+
+    /** Response packet size (loads only): header plus the payload. */
+    static uint32_t
+    responseBytes(const MemTxn &txn)
+    {
+        return kHeaderBytes + txn.bytes;
+    }
+
+    /** Price one @p bytes packet from @p from to @p to sent at @p t
+     *  (link calendars plus link energy); returns its arrival cycle. */
+    Cycle hop(ModuleId from, ModuleId to, uint32_t bytes, Cycle t);
+
     // --- Credit flow control --------------------------------------------
     /** Size the per-pair credit pools; vcs == 0 leaves them off. */
     void configureVcs(uint32_t modules, uint32_t vcs, uint32_t credits);
@@ -253,13 +271,15 @@ class MemPipeline
     bool domainMode() const { return engine_ != nullptr; }
 
     /**
-     * Barrier sequencer: drain every domain's outbox in (emit cycle,
+     * Barrier sequencer: merge every domain's outbox in (emit cycle,
      * emitting event's schedule cycle, domain, sequence) order — the
      * serial execution order up to schedule-cycle ties. Requests and
      * responses take their fabric hop here (link bandwidth calendars
      * are order-insensitive within a cycle) and are delivered to the
      * target domain; store acks are delivered to the source. Runs
-     * single-threaded between windows.
+     * single-threaded between windows and reads only the outbox
+     * records, never a transaction; the target domain's worker inserts
+     * the deliveries (SimEngine::deliver).
      */
     void processMessages();
 
@@ -336,21 +356,24 @@ class MemPipeline
     /** One cross-domain message: a transaction handed to the barrier
      *  sequencer at a phase seam (request/response fabric hop, store
      *  ack). Ordering fields mirror the emitting event's position so
-     *  the sequencer can replay the serial service order. */
+     *  the sequencer can replay the serial service order; the rest is
+     *  copied from the transaction at emit time, so the sequencer never
+     *  dereferences it. */
     struct CrossMsg
     {
         enum Kind : uint8_t { Req, Resp, Ack };
 
+        Cycle emit_t;            //!< emitting event's cycle
+        Cycle emit_sched;        //!< emitting event's schedule cycle
+        Cycle t;                 //!< hop send cycle / ack acceptance
+        MemTxn *txn;             //!< opaque here: the delivery's payload
+        ModuleId from;           //!< hop source (Req/Resp)
+        ModuleId to;             //!< hop destination = target domain
+        uint32_t bytes;          //!< packet bytes (Req/Resp)
         Kind kind;
         /** Serial completes this store inline in the emitting event;
          *  the delivery event is an accounting artifact. */
-        bool inline_ack = false;
-        uint32_t src_dom = 0;    //!< emitting domain (merge tiebreak)
-        Cycle emit_t = 0;        //!< emitting event's cycle
-        Cycle emit_sched = 0;    //!< emitting event's schedule cycle
-        Cycle when = 0;          //!< ack delivery cycle (txn.t)
-        Cycle sched = 0;         //!< ack delivery schedule cycle
-        MemTxn *txn = nullptr;
+        bool inline_ack;
     };
 
     /** In-flight transaction count transition (+1 launch, -1 complete)
@@ -367,7 +390,8 @@ class MemPipeline
      * synchronization. Source-side counters (launches, occupancy, MSHR
      * stalls, latency histograms) shard by txn.src; home-side counters
      * (L2/DRAM stage cycles) by txn.home_module; the outbox belongs to
-     * the domain whose events fill it.
+     * the domain whose events fill it. Remote fabric stage cycles are
+     * the sequencer's (seq_fab_cycles_).
      */
     struct DomainShard
     {
@@ -427,6 +451,8 @@ class MemPipeline
     void emitCross(MemTxn &txn);
     /** Hand a completed remote store's ack to the barrier sequencer. */
     void emitStoreAck(MemTxn &txn, bool inline_ack);
+    /** Price (requests, responses) and deliver one merged message. */
+    void sequence(const CrossMsg &m);
     /** Merge the per-domain inflight transition logs into the global
      *  peak (runs at barriers, single-threaded). */
     void mergePeakLog();
@@ -482,8 +508,10 @@ class MemPipeline
     // --- Domain mode (parallel engine) -----------------------------------
     SimEngine *engine_ = nullptr;
     std::vector<DomainShard> shards_;
-    std::vector<CrossMsg> seq_buf_;       //!< sequencer merge scratch
-    std::vector<size_t> peak_pos_;        //!< peak-log merge cursors
+    std::vector<size_t> merge_pos_;       //!< outbox / peak-log cursors
+    /** Fabric request / response stage cycles priced by the sequencer
+     *  (folded into the stats scalars by mergeShards). */
+    Cycle seq_fab_cycles_[2] = {0, 0};
     int64_t merged_inflight_ = 0;
     double merged_peak_ = 0;
     uint64_t exec_inline_acks_ = 0;

@@ -9,9 +9,10 @@
  * fabric.json documents and identical headline metrics, with
  * observability on or off. The satellites: --sim-threads 1 is the
  * serial engine itself, ineligible configurations fall back to serial
- * with a warning, a degenerate (<= 1 cycle) lookahead falls back, and
+ * with a warning, a degenerate (<= 1 cycle) lookahead falls back,
  * serial-only observability attachments downgrade an already-parallel
- * system.
+ * system, and a run cut by its cycle limit freezes the same machine for
+ * every worker count.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "common/log.hh"
 #include "common/units.hh"
 #include "gpu/gpu_system.hh"
+#include "gpu/runtime.hh"
 #include "obs/options.hh"
 #include "obs/recorder.hh"
 #include "sim/simulator.hh"
@@ -208,6 +210,51 @@ TEST_F(PdesTest, StatsAndFabricJsonByteIdenticalAcrossWorkerCounts)
         ++files;
     }
     EXPECT_EQ(files, 3u);
+}
+
+TEST_F(PdesTest, CycleLimitIdenticalAcrossWorkerCounts)
+{
+    // The limit lands mid-kernel with cross-domain messages in flight;
+    // the engine inserts undelivered ones before run() returns, so the
+    // frozen machine and its pending events match for every worker
+    // count.
+    const Workload w = crossTrafficWorkload();
+    auto cutConfig = [](uint32_t threads) {
+        GpuConfig c = pdesConfig(threads);
+        c.cycle_limit = 2000; // the full run takes ~4200 cycles
+        return c;
+    };
+
+    obs::Options opt;
+    opt.stats_json = true;
+    std::vector<RunResult> results;
+    std::vector<std::string> stats;
+    std::vector<size_t> pending;
+    for (uint32_t threads : {2u, 3u, 4u}) {
+        const GpuConfig cfg = cutConfig(threads);
+        TempDir dir("cut" + std::to_string(threads));
+        opt.out_dir = dir.str();
+        obs::setOptions(opt);
+        results.push_back(Simulator::run(cfg, w));
+        obs::Recorder namer(opt, cfg.name, w.abbr, cfg.num_modules);
+        stats.push_back(slurp(namer.outputPath("stats")));
+        obs::setOptions(obs::Options{});
+
+        GpuSystem gpu(cfg);
+        Runtime rt(gpu);
+        rt.runAll(w.launches);
+        EXPECT_EQ(rt.status(), RunStatus::CycleLimit);
+        pending.push_back(gpu.simEngine().pending());
+    }
+
+    for (const RunResult &r : results)
+        EXPECT_EQ(r.status, RunStatus::CycleLimit);
+    EXPECT_GT(pending[0], 0u);
+    for (size_t i = 1; i < results.size(); ++i) {
+        expectSameResult(results[0], results[i]);
+        EXPECT_EQ(stats[0], stats[i]);
+        EXPECT_EQ(pending[0], pending[i]);
+    }
 }
 
 TEST_F(PdesTest, PortModelRunsParallelByteIdentically)

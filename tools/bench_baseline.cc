@@ -22,9 +22,10 @@
  * committed figures for the same pairs (skipped under sanitizers via
  * --no-threshold, where wall-clock is meaningless).
  *
- * Cycle counts are also cross-checked against the baseline when pairs
- * match: a *timing* regression (non-bit-identical simulation) fails the
- * check even when speed is fine.
+ * Cycle and event counts are also cross-checked against the baseline
+ * for every matched pair, whatever its memory model or engine: a
+ * *timing* regression (non-bit-identical simulation) fails the check
+ * even when speed is fine.
  */
 
 #include <algorithm>
@@ -70,8 +71,7 @@ machineByName(const std::string &name, GpuConfig &cfg)
 {
     // A "+adaptive" suffix on any preset switches the fabric to
     // congestion-aware route selection and tags the config name, so
-    // adaptive pairs are distinct in the baseline and — not containing
-    // "+staged" — ride the strict cycle-identity gate.
+    // adaptive pairs are distinct in the baseline.
     static const std::string kAdaptive = "+adaptive";
     if (name.size() > kAdaptive.size() &&
         name.compare(name.size() - kAdaptive.size(), kAdaptive.size(),
@@ -436,8 +436,6 @@ main(int argc, char **argv)
             cfgs.push_back(st);
         }
         if (run_staged_vc) {
-            // "+staged-vc" contains "+staged", so these pairs ride the
-            // same throughput-only gate as plain staged ones.
             GpuConfig sv = cfg;
             sv.withMemModel(MemModel::Staged, 0);
             sv.withFabricVcs(2, 64);
@@ -448,13 +446,13 @@ main(int argc, char **argv)
             // PDES family: the serial reference and the N-thread run of
             // the same machine, differing only in the engine.
             // DistributedBatch scheduling — a PDES eligibility
-            // requirement (docs/PDES.md) — applies to both, and the
-            // "+staged" substring keeps the family on the
-            // throughput-only gate: parallel cycles carry the
-            // documented bounded store-ack slip, so they are not
-            // expected to match committed serial figures bit for bit.
-            // Ineligible machines (e.g. single-module mono-*) fall back
-            // to the serial engine in the -smt config by design.
+            // requirement (docs/PDES.md) — applies to both. Parallel
+            // cycles carry the documented bounded store-ack slip, so
+            // the -smtN pair differs from its serial twin, but it is
+            // deterministic for every N and gated against its own
+            // committed figures. Ineligible machines (e.g.
+            // single-module mono-*) fall back to the serial engine in
+            // the -smt config by design.
             GpuConfig sd = cfg;
             sd.withMemModel(MemModel::Staged, 0);
             sd.withSched(CtaSchedPolicy::DistributedBatch);
@@ -575,14 +573,10 @@ main(int argc, char **argv)
                 base_ms += static_cast<double>(b.events) /
                            (b.events_per_sec > 0.0 ? b.events_per_sec
                                                    : 1.0) * 1000.0;
-                // Chain pairs are the frozen reference timing and must
-                // stay bit-identical. Staged pairs are gated on
-                // throughput only: the staged model's cycle counts are
-                // expected to move as its queueing model is refined.
-                const bool staged =
-                    p.config.find("+staged") != std::string::npos;
-                if (!staged &&
-                    (b.cycles != p.cycles || b.events != p.events))
+                // Every pair is deterministic — parallel ones for every
+                // worker count — so any drift in cycles or events is a
+                // timing change the committed baseline must record.
+                if (b.cycles != p.cycles || b.events != p.events)
                     ++cycle_mismatches;
                 break;
             }
