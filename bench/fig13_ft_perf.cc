@@ -10,12 +10,12 @@
  * wins: +51% / +11.3% / +7.9% (M / C / limited) over the baseline.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -38,8 +38,7 @@ ftConfig(uint64_t l15_bytes, const char *name)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

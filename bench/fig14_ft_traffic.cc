@@ -9,12 +9,12 @@
  * between GPMs than the baseline.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -37,8 +37,7 @@ ftConfig(uint64_t l15_bytes, const char *name)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

@@ -15,13 +15,13 @@
  * optimized MCM-GPU).
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -29,8 +29,7 @@ using namespace mcmgpu;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

@@ -20,6 +20,7 @@
 
 #include "common/log.hh"
 #include "common/table.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -27,8 +28,7 @@ using namespace mcmgpu;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig multi_base = configs::multiGpuBaseline();

@@ -10,12 +10,12 @@
  * 1.5 TB/s / 768 GB/s / 384 GB/s.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -24,8 +24,7 @@ using workloads::Category;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const double settings[] = {6144.0, 3072.0, 1536.0, 768.0, 384.0};

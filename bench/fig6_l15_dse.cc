@@ -11,12 +11,12 @@
  * iso-transistor point (+11.4% M-Intensive, +3.5% limited).
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -25,8 +25,7 @@ using workloads::Category;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

@@ -8,13 +8,13 @@
  * 16.9% / 36.4% / 32.9% (M / C / limited), 28% across the suite.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -23,8 +23,7 @@ using workloads::Category;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
+    cli::parseArgs(argc, argv, {cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

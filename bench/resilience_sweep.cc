@@ -19,12 +19,12 @@
  * performance, never correctness.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -82,42 +82,23 @@ printAxis(const char *title, const std::vector<GpuConfig> &settings,
 int
 main(int argc, char **argv)
 {
-    MemModel mem_model = MemModel::Chain;
-    uint32_t remote_mshrs = 0;
-    std::string topology;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--mem-model") && i + 1 < argc) {
-            const std::string m = argv[++i];
-            if (m == "staged") {
-                mem_model = MemModel::Staged;
-            } else if (m != "chain") {
-                std::cerr << "unknown --mem-model '" << m
-                          << "' (chain|staged)\n";
-                return 1;
-            }
-        } else if (!std::strcmp(argv[i], "--remote-mshrs") &&
-                   i + 1 < argc) {
-            remote_mshrs = uint32_t(std::strtoul(argv[++i], nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--topology") && i + 1 < argc) {
-            topology = argv[++i];
-        } else {
-            experiment::parseCliFlag(argc, argv, i);
-        }
-    }
+    // Of the machine flags only the memory model and the topology make
+    // sense here: the machine is fixed, and the fault, cycle-limit and
+    // watchdog edits would bend the axes and the pristine reference.
+    cli::Machines opt;
+    cli::FlagTable edits = opt.flags();
+    edits.title = "edits to mcm-optimized, on every axis";
+    std::erase_if(edits.flags, [](const cli::Flag &f) {
+        return f.name != "--mem-model" && f.name != "--remote-mshrs" &&
+               f.name != "--topology";
+    });
+    cli::parseArgs(argc, argv, {edits, cli::sweepFlags()});
     setQuietLogging(true);
 
     // Every machine on every axis — the pristine reference included —
-    // runs under the selected memory model and topology, so
-    // `--topology mesh2d:2x2` (or ring-of-rings / package) puts the
-    // link-derate and CRC-error axes on the compiled fabric's links —
-    // "mesh.0->1", "board.cw0" — instead of the default ring's.
-    auto makeOpt = [&]() {
-        GpuConfig c =
-            configs::mcmOptimized().withMemModel(mem_model, remote_mshrs);
-        if (!topology.empty())
-            c.withTopology(topology).withName(c.name + "+" + topology);
-        return c;
-    };
+    // runs under the selected memory model and topology, so `--topology
+    // mesh2d:2x2` puts the link axes on the mesh's links ("mesh.0->1").
+    auto makeOpt = [&] { return opt.applyTo(configs::mcmOptimized()); };
 
     const GpuConfig pristine = makeOpt();
     const std::vector<Row> rows = {

@@ -5,16 +5,14 @@
  * maintenance/calibration view used to sanity-check that the synthetic
  * suite exhibits the categorical behaviour (memory- vs compute-bound,
  * limited parallelism, locality response) the paper's suite shows.
- *
- * Usage: suite_overview [--csv] [--quiet]
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 
 using namespace mcmgpu;
@@ -23,12 +21,9 @@ int
 main(int argc, char **argv)
 {
     bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--csv"))
-            csv = true;
-        else
-            experiment::parseCliFlag(argc, argv, i);
-    }
+    cli::parseArgs(argc, argv,
+                   {{"output", {cli::toggle("--csv", "print CSV", csv)}},
+                    cli::sweepFlags()});
     setQuietLogging(true);
 
     const GpuConfig base = configs::mcmBasic();

@@ -18,7 +18,6 @@
  * document committed as BENCH_topo_scaling.json.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,6 +28,7 @@
 #include "common/table.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/runtime.hh"
+#include "sim/cli.hh"
 #include "workloads/registry.hh"
 
 using namespace mcmgpu;
@@ -134,10 +134,10 @@ int
 main(int argc, char **argv)
 {
     std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[++i];
-    }
+    cli::parseArgs(argc, argv,
+                   {{"output",
+                     {cli::value("--out", "<file>",
+                                 "also write the rows as JSON", out_path)}}});
     setQuietLogging(true);
 
     // Every table-routed family, smallest to largest. The 4-node rows

@@ -9,13 +9,16 @@
  *              --sched distributed --pages first-touch --l15-mb 8
  *   mcmgpu_cli --matrix mcm-basic,mcm-optimized --workloads Stream,TSP \
  *              --jobs 4 --runs-json runs.json
+ *
+ * Flags may come in any order: machine edits apply to whichever
+ * machines --machine or --matrix selects (see sim/cli.hh). --help
+ * lists every flag.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -30,9 +33,9 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
-#include "common/units.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/runtime.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "workloads/registry.hh"
@@ -41,177 +44,6 @@ using namespace mcmgpu;
 
 namespace {
 
-void
-usage()
-{
-    std::printf(
-        "usage: mcmgpu_cli [options]\n"
-        "  --list                     list workloads and exit\n"
-        "  --workload <abbr>          workload to run (default Stream)\n"
-        "  --machine <preset>         mono-32 | mono-128 | mono-256 |\n"
-        "                             mcm-basic | mcm-optimized |\n"
-        "                             mcm-mesh | mcm-mesh-adaptive |\n"
-        "                             mcm-rings | mcm-package |\n"
-        "                             mcm-turnaround |\n"
-        "                             multi-gpu | multi-gpu-opt\n"
-        "                             (default mcm-basic)\n"
-        "  --link-gbps <n>            inter-module link bandwidth\n"
-        "  --hop-cycles <n>           per-hop latency\n"
-        "  --l15-mb <n>               remote-only L1.5 capacity (total)\n"
-        "  --sched <p>                centralized | distributed | dynamic\n"
-        "  --pages <p>                interleave | first-touch | rr-page\n"
-        "topology (docs/TOPOLOGY.md):\n"
-        "  --topology <spec>          ring | mesh2d[:RxC] |\n"
-        "                             ring-of-rings:G/R | package:P |\n"
-        "                             ports (default: the preset's)\n"
-        "  --pkg-link-gbps <n>        inter-package link bandwidth\n"
-        "                             (package:P only, default 256)\n"
-        "  --pkg-hop-cycles <n>       inter-package hop latency\n"
-        "                             (default 256)\n"
-        "  --route-policy <p>         static | adaptive: equal-cost\n"
-        "                             candidate selection (static is\n"
-        "                             the legacy toggle; adaptive takes\n"
-        "                             the least-backlogged route)\n"
-        "dram:\n"
-        "  --dram-turnaround <n>      read/write bus-turnaround cycles\n"
-        "                             per channel (default 0 = off)\n"
-        "  --dram-write-drain <n>     buffer n posted writes per channel\n"
-        "                             and drain as one batch (default 0)\n"
-        "  --stats                    print summary statistics\n"
-        "  --dump-stats               dump every component counter\n"
-        "memory pipeline:\n"
-        "  --mem-model <m>            chain | staged (default chain)\n"
-        "  --remote-mshrs <n>         staged: remote MSHRs per module\n"
-        "                             (0 = unbounded)\n"
-        "  --fabric-vcs <n>           staged: fabric virtual channels\n"
-        "                             (0 = off, 1 = shared pool —\n"
-        "                             deliberately deadlock-prone,\n"
-        "                             2 = req/resp, deadlock-free)\n"
-        "  --vc-credits <n>           credits per VC pool per GPM pair\n"
-        "                             (default 64)\n"
-        "parallel simulation (docs/PDES.md):\n"
-        "  --sim-threads <n>          simulate GPM domains on n threads\n"
-        "                             (default 1 = serial; needs the\n"
-        "                             staged model, distributed CTA\n"
-        "                             scheduling, fabric_vcs = 0;\n"
-        "                             ineligible configs warn and run\n"
-        "                             serial)\n"
-        "fault injection:\n"
-        "  --sweep-sms <n>            disable first n SMs of every GPM\n"
-        "  --link-derate <f>          derate all links to f (0 < f <= 1)\n"
-        "  --link-error-rate <p>      transient CRC-error chance per\n"
-        "                             traversal (0 <= p <= 1)\n"
-        "  --kill-partition <p>       mark DRAM partition p dead\n"
-        "  --fault-seed <s>           seed for link error streams\n"
-        "  --watchdog-cycles <n>      no-progress window (0 disables)\n"
-        "  --max-cycles <n>           stop after n cycles\n"
-        "parallel sweeps:\n"
-        "  --matrix <m1,m2,...>       run a machine x workload matrix\n"
-        "                             through the experiment pool\n"
-        "  --workloads <w1,w2,...>    workload set for --matrix\n"
-        "                             (default: all 48)\n"
-        "observability:\n"
-        "  --check-obs <dir>          validate every .json under dir "
-        "and\n"
-        "                             exit (0 = all well-formed; also\n"
-        "                             schema-checks stats/timeline/\n"
-        "                             fabric/flight artifacts)\n"
-        "scripting:\n"
-        "  --expect-status <s>        single-run: exit 0 iff the run "
-        "ends\n"
-        "                             with this status (finished | "
-        "stalled |\n"
-        "                             deadlock | timeout | cycle_limit "
-        "|\n"
-        "                             error), else exit 3\n"
-        "%s",
-        experiment::cliFlagHelp());
-}
-
-/**
- * Parse all of @p text into @p out, or report "invalid value 'x' for
- * <flag>" and exit 1. The target's type is the grammar: unsigned
- * targets refuse any sign, and a value out of the target's range is
- * rejected rather than wrapped or truncated.
- */
-template <typename T>
-void
-parseValue(const std::string &flag, const std::string &text, T &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, out);
-    if (ec != std::errc() || stop != end) {
-        std::fprintf(stderr, "invalid value '%s' for %s\n", text.c_str(),
-                     flag.c_str());
-        std::exit(1);
-    }
-}
-
-/** Set @p out to the value @p choices maps @p text to, or report
- *  "unknown <flag> 'x' (a|b|...)" and exit 1. */
-template <typename E>
-void
-parseChoice(const std::string &flag, const std::string &text, E &out,
-            std::initializer_list<std::pair<const char *, E>> choices)
-{
-    std::string names;
-    for (const auto &[name, value] : choices) {
-        if (text == name) {
-            out = value;
-            return;
-        }
-        names += (names.empty() ? "" : "|") + std::string(name);
-    }
-    std::fprintf(stderr, "unknown %s '%s' (%s)\n", flag.c_str(),
-                 text.c_str(), names.c_str());
-    std::exit(1);
-}
-
-bool
-parseMachine(const std::string &name, GpuConfig &cfg)
-{
-    if (name == "mono-32") {
-        cfg = configs::monolithic(32);
-    } else if (name == "mono-128") {
-        cfg = configs::monolithicBuildableMax();
-    } else if (name == "mono-256") {
-        cfg = configs::monolithicUnbuildable();
-    } else if (name == "mcm-basic") {
-        cfg = configs::mcmBasic();
-    } else if (name == "mcm-optimized") {
-        cfg = configs::mcmOptimized();
-    } else if (name == "mcm-mesh") {
-        cfg = configs::mcmMesh();
-    } else if (name == "mcm-mesh-adaptive") {
-        cfg = configs::mcmMeshAdaptive();
-    } else if (name == "mcm-rings") {
-        cfg = configs::mcmRingOfRings();
-    } else if (name == "mcm-package") {
-        cfg = configs::mcmPackage();
-    } else if (name == "mcm-turnaround") {
-        cfg = configs::mcmTurnaround();
-    } else if (name == "multi-gpu") {
-        cfg = configs::multiGpuBaseline();
-    } else if (name == "multi-gpu-opt") {
-        cfg = configs::multiGpuOptimized();
-    } else {
-        return false;
-    }
-    return true;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
 /**
  * --matrix mode: run machines × workloads through the experiment pool
  * and print one cycles cell per pair, plus the sweep summary. Failed
@@ -219,45 +51,11 @@ splitCommas(const std::string &s)
  * @return 0 when every job finished, 2 otherwise.
  */
 int
-runMatrixMode(const std::string &machines, const std::string &workload_set,
-              MemModel mem_model, uint32_t remote_mshrs,
-              uint32_t fabric_vcs, uint32_t vc_credits,
-              const std::string &topology,
-              std::optional<RoutePolicy> route_policy)
+runMatrixMode(const std::vector<GpuConfig> &cfgs,
+              std::vector<const workloads::Workload *> ws)
 {
-    std::vector<GpuConfig> cfgs;
-    for (const std::string &m : splitCommas(machines)) {
-        GpuConfig c;
-        if (!parseMachine(m, c)) {
-            std::fprintf(stderr, "unknown machine '%s'\n", m.c_str());
-            return 1;
-        }
-        c.withMemModel(mem_model, remote_mshrs);
-        c.withFabricVcs(fabric_vcs, vc_credits);
-        if (!topology.empty())
-            c.withTopology(topology).withName(c.name + "+" + topology);
-        if (route_policy == RoutePolicy::Adaptive) {
-            c.withRoutePolicy(RoutePolicy::Adaptive)
-                .withName(c.name + "+adaptive");
-        }
-        cfgs.push_back(std::move(c));
-    }
-    std::vector<const workloads::Workload *> ws;
-    if (workload_set.empty()) {
+    if (ws.empty())
         ws = experiment::everyWorkload();
-    } else {
-        for (const std::string &abbr : splitCommas(workload_set)) {
-            const workloads::Workload *w = workloads::findByAbbr(abbr);
-            if (!w) {
-                std::fprintf(stderr,
-                             "unknown workload '%s' (try --list)\n",
-                             abbr.c_str());
-                return 1;
-            }
-            ws.push_back(w);
-        }
-    }
-
     const auto grid = experiment::runMatrix(cfgs, ws);
 
     std::vector<std::string> header{"Workload"};
@@ -289,12 +87,6 @@ runMatrixMode(const std::string &machines, const std::string &workload_set,
     return all_finished ? 0 : 2;
 }
 
-/**
- * --check-obs mode: validate every .json file under @p dir with the
- * strict shared checker. Exercised by the obs-smoke ctest so a
- * malformed emitter fails CI, not a Perfetto load three weeks later.
- * @return 0 when every file is well-formed, 1 otherwise.
- */
 /**
  * Artifact-specific schema checks, run after the generic
  * well-formedness pass. The repo deliberately has no JSON parser
@@ -442,6 +234,12 @@ schemaIssue(const std::string &name, const std::string &text)
     return "";
 }
 
+/**
+ * --check-obs mode: validate every .json file under @p dir with the
+ * strict shared checker. Exercised by the obs-smoke ctest so a
+ * malformed emitter fails CI, not a Perfetto load three weeks later.
+ * @return 0 when every file is well-formed, 1 otherwise.
+ */
 int
 checkObsMode(const std::string &dir)
 {
@@ -506,161 +304,54 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     std::string workload = "Stream";
-    GpuConfig cfg = configs::mcmBasic();
-    bool stats = false;
-    bool dump = false;
-    MemModel mem_model = MemModel::Chain;
-    uint32_t remote_mshrs = 0;
-    uint32_t fabric_vcs = 0;
-    uint32_t vc_credits = 64;
-    uint32_t sim_threads = 1;
-    std::string topology; // empty: keep the preset's
-    std::optional<RoutePolicy> route_policy; // empty: keep the preset's
-    std::string matrix_machines;
-    std::string matrix_workloads;
+    std::vector<const workloads::Workload *> matrix_workloads;
+    bool list = false, stats = false, dump = false;
     std::string check_obs_dir;
-    std::string expect_status;
+    std::optional<RunStatus> expect_status;
+    cli::Choices<std::optional<RunStatus>> statuses;
+    for (RunStatus s : {RunStatus::Finished, RunStatus::Stalled,
+                        RunStatus::Deadlock, RunStatus::Timeout,
+                        RunStatus::CycleLimit, RunStatus::Error})
+        statuses.emplace_back(toString(s), s);
+    cli::Machines machines;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            for (const auto &w : workloads::allWorkloads())
-                std::printf("%-14s %-12s %s\n", w.abbr.c_str(),
-                            workloads::categoryName(w.category),
-                            w.name.c_str());
-            return 0;
-        } else if (arg == "--workload") {
-            workload = next();
-        } else if (arg == "--machine") {
-            if (!parseMachine(next(), cfg)) {
-                usage();
-                return 1;
-            }
-        } else if (arg == "--link-gbps") {
-            parseValue(arg, next(), cfg.link_gbps);
-        } else if (arg == "--hop-cycles") {
-            parseValue(arg, next(), cfg.link_hop_cycles);
-        } else if (arg == "--l15-mb") {
-            uint64_t mb = 0;
-            parseValue(arg, next(), mb);
-            cfg.withL15(mb * MiB, L15Alloc::RemoteOnly);
-            if (mb > 0 && mb * MiB < 16 * MiB)
-                cfg.l2.size_bytes = 16 * MiB - mb * MiB;
-        } else if (arg == "--sched") {
-            parseChoice(arg, next(), cfg.cta_sched,
-                        {{"centralized", CtaSchedPolicy::CentralizedRR},
-                         {"distributed", CtaSchedPolicy::DistributedBatch},
-                         {"dynamic", CtaSchedPolicy::DynamicBatch}});
-        } else if (arg == "--pages") {
-            parseChoice(arg, next(), cfg.page_policy,
-                        {{"interleave", PagePolicy::FineInterleave},
-                         {"first-touch", PagePolicy::FirstTouch},
-                         {"rr-page", PagePolicy::RoundRobinPage}});
-        } else if (arg == "--topology") {
-            topology = next();
-        } else if (arg == "--route-policy") {
-            RoutePolicy p = RoutePolicy::Static;
-            parseChoice(arg, next(), p,
-                        {{"static", RoutePolicy::Static},
-                         {"adaptive", RoutePolicy::Adaptive}});
-            route_policy = p;
-        } else if (arg == "--pkg-link-gbps") {
-            parseValue(arg, next(), cfg.pkg_link_gbps);
-        } else if (arg == "--pkg-hop-cycles") {
-            parseValue(arg, next(), cfg.pkg_link_hop_cycles);
-        } else if (arg == "--dram-turnaround") {
-            parseValue(arg, next(), cfg.dram_turnaround_cycles);
-        } else if (arg == "--dram-write-drain") {
-            parseValue(arg, next(), cfg.dram_write_drain);
-        } else if (arg == "--sweep-sms") {
-            uint32_t n = 0;
-            parseValue(arg, next(), n);
-            cfg.fault.sweepSmsEveryModule(cfg.num_modules, n);
-        } else if (arg == "--link-derate") {
-            double f = 0.0;
-            parseValue(arg, next(), f);
-            cfg.fault.derateLinks(f);
-        } else if (arg == "--link-error-rate") {
-            double p = 0.0;
-            parseValue(arg, next(), p);
-            cfg.fault.injectLinkErrors(p);
-        } else if (arg == "--kill-partition") {
-            PartitionId p = 0;
-            parseValue(arg, next(), p);
-            cfg.fault.killPartition(p);
-        } else if (arg == "--fault-seed") {
-            uint64_t seed = 0;
-            parseValue(arg, next(), seed);
-            cfg.fault.withSeed(seed);
-        } else if (arg == "--watchdog-cycles") {
-            parseValue(arg, next(), cfg.watchdog_cycles);
-        } else if (arg == "--max-cycles") {
-            parseValue(arg, next(), cfg.cycle_limit);
-        } else if (arg == "--mem-model") {
-            parseChoice(arg, next(), mem_model,
-                        {{"chain", MemModel::Chain},
-                         {"staged", MemModel::Staged}});
-        } else if (arg == "--remote-mshrs") {
-            parseValue(arg, next(), remote_mshrs);
-        } else if (arg == "--fabric-vcs") {
-            parseValue(arg, next(), fabric_vcs);
-        } else if (arg == "--vc-credits") {
-            parseValue(arg, next(), vc_credits);
-        } else if (arg == "--sim-threads") {
-            parseValue(arg, next(), sim_threads);
-        } else if (arg == "--expect-status") {
-            expect_status = next();
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--dump-stats") {
-            dump = true;
-        } else if (arg == "--matrix") {
-            matrix_machines = next();
-        } else if (arg == "--workloads") {
-            matrix_workloads = next();
-        } else if (arg == "--check-obs") {
-            check_obs_dir = next();
-        } else if (experiment::parseCliFlag(argc, argv, i)) {
-            // shared sweep flags: --quiet/--jobs/--runs-json/--cache-dir
-        } else {
-            usage();
-            return arg == "--help" || arg == "-h" ? 0 : 1;
-        }
+    cli::parseArgs(argc, argv, {{"runs", {
+        cli::toggle("--list", "list workloads and exit", list),
+        {"--workload", "<abbr>", "workload to run (default Stream)",
+         [&](const std::string &v) {
+             cli::parseChoice("--workload", v, cli::workloadNames());
+             workload = v;
+         }},
+        {"--workloads", "<w1,w2,...>", "workload set for --matrix "
+         "(default: all 48)", [&](const std::string &v) {
+             matrix_workloads = cli::parseWorkloads("--workloads", v);
+         }},
+        cli::toggle("--stats", "print summary statistics", stats),
+        cli::toggle("--dump-stats", "dump every component counter", dump),
+        cli::value("--check-obs", "<dir>", "validate every .json under dir "
+                   "and exit (0 = all well-formed; also schema-checks "
+                   "stats/timeline/fabric/flight artifacts)", check_obs_dir),
+        cli::choice("--expect-status", "single run: exit 0 iff the run ends "
+                    "with this status, else 3", expect_status, statuses),
+    }}, machines.flags(), cli::sweepFlags()});
+
+    if (list) {
+        for (const auto &w : workloads::allWorkloads())
+            std::printf("%-14s %-12s %s\n", w.abbr.c_str(),
+                        workloads::categoryName(w.category),
+                        w.name.c_str());
+        return 0;
     }
-
-    // Applied after the flag loop so --mem-model / --fabric-vcs /
-    // --topology / --route-policy compose with --machine in either
-    // order (an absent --route-policy keeps the preset's policy).
-    cfg.withMemModel(mem_model, remote_mshrs);
-    cfg.withFabricVcs(fabric_vcs, vc_credits);
-    cfg.withSimThreads(sim_threads);
-    if (!topology.empty())
-        cfg.withTopology(topology);
-    if (route_policy)
-        cfg.withRoutePolicy(*route_policy);
 
     if (!check_obs_dir.empty())
         return checkObsMode(check_obs_dir);
 
-    if (!matrix_machines.empty()) {
-        return runMatrixMode(matrix_machines, matrix_workloads, mem_model,
-                             remote_mshrs, fabric_vcs, vc_credits,
-                             topology, route_policy);
-    }
+    const std::vector<GpuConfig> cfgs = machines.build();
+    if (machines.matrix())
+        return runMatrixMode(cfgs, matrix_workloads);
 
+    const GpuConfig &cfg = cfgs.front();
     const workloads::Workload *w = workloads::findByAbbr(workload);
-    if (!w) {
-        std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
-                     workload.c_str());
-        return 1;
-    }
 
     try {
         cfg.validate();
@@ -710,15 +401,12 @@ main(int argc, char **argv)
         std::printf("energy          : chip %.4f J, links %.4f J\n",
                     r.energy_chip_j, r.energy_link_j);
     }
-    if (!expect_status.empty()) {
+    if (expect_status && *expect_status != r.status) {
         // Scripting contract (resilience-smoke ctest): exit 0 iff the
         // run ended exactly as predicted, 3 on any other outcome.
-        if (expect_status != toString(r.status)) {
-            std::fprintf(stderr,
-                         "expected status '%s' but run ended '%s'\n",
-                         expect_status.c_str(), toString(r.status));
-            return 3;
-        }
+        std::fprintf(stderr, "expected status '%s' but run ended '%s'\n",
+                     toString(*expect_status), toString(r.status));
+        return 3;
     }
     return 0;
 }

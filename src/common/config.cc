@@ -193,6 +193,26 @@ namespace {
 constexpr uint64_t kTotalCacheBudget = 16 * MiB;
 constexpr uint64_t kL2SliverPerPartition = 32 * KiB;
 
+/** The one spelling of every machine the command line can name. */
+const struct
+{
+    const char *name;
+    GpuConfig (*make)();
+} kPresets[] = {
+    {"mono-32", [] { return monolithic(32); }},
+    {"mono-128", monolithicBuildableMax},
+    {"mono-256", monolithicUnbuildable},
+    {"mcm-basic", [] { return mcmBasic(); }},
+    {"mcm-optimized", [] { return mcmOptimized(); }},
+    {"mcm-mesh", mcmMesh},
+    {"mcm-mesh+adaptive", mcmMeshAdaptive},
+    {"mcm-rings", mcmRingOfRings},
+    {"mcm-package", mcmPackage},
+    {"mcm-turnaround", mcmTurnaround},
+    {"multi-gpu", multiGpuBaseline},
+    {"multi-gpu-opt", multiGpuOptimized},
+};
+
 } // namespace
 
 GpuConfig
@@ -376,6 +396,28 @@ multiGpuOptimized()
     c.l2.size_bytes = 8 * MiB;
     c.name = "multi-gpu-optimized";
     return c;
+}
+
+const std::vector<std::string> &
+presetNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const auto &p : kPresets)
+            out.push_back(p.name);
+        return out;
+    }();
+    return names;
+}
+
+GpuConfig
+preset(const std::string &name)
+{
+    for (const auto &p : kPresets) {
+        if (name == p.name)
+            return p.make();
+    }
+    fatal("unknown machine preset '", name, "'");
 }
 
 } // namespace configs

@@ -432,6 +432,12 @@ GpuConfig multiGpuBaseline();
 /** Optimized multi-GPU: half of each GPU's L2 becomes a remote-only cache. */
 GpuConfig multiGpuOptimized();
 
+/** The name of every preset preset() knows, in table order. */
+const std::vector<std::string> &presetNames();
+
+/** The preset called @p name (one of presetNames(); fatal otherwise). */
+GpuConfig preset(const std::string &name);
+
 } // namespace configs
 
 } // namespace mcmgpu

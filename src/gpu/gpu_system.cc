@@ -89,7 +89,7 @@ GpuSystem::activateParallelIfEligible()
               "(need fabric_vcs = 0)";
     else if (cfg_.cta_sched != CtaSchedPolicy::DistributedBatch)
         why = "only the distributed CTA scheduler partitions its state "
-              "per module (need --cta-sched distributed)";
+              "per module (need --sched distributed)";
     else if (cfg_.page_policy == PagePolicy::FirstTouch)
         why = "first-touch page placement mutates the page table on "
               "access order";

@@ -1,7 +1,6 @@
 #include "sim/experiment.hh"
 
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -157,96 +156,6 @@ setJobTimeout(double seconds)
     HarnessState &s = state();
     std::lock_guard<std::mutex> lk(s.mu);
     s.job_timeout_s = seconds > 0.0 ? seconds : 0.0;
-}
-
-const char *
-cliFlagHelp()
-{
-    return "  --quiet                    suppress per-run progress lines\n"
-           "  --jobs <n>                 parallel sweep workers (1 = "
-           "serial,\n"
-           "                             0 = one per hardware thread; or "
-           "set\n"
-           "                             MCMGPU_JOBS)\n"
-           "  --runs-json <path>         write per-job telemetry after "
-           "every\n"
-           "                             sweep (or set MCMGPU_RUNS_JSON)\n"
-           "  --cache-dir <dir>          result cache location ('' "
-           "disables;\n"
-           "                             or set MCMGPU_CACHE_DIR)\n"
-           "  --job-timeout-s <s>        per-job wall-clock budget; a "
-           "run over\n"
-           "                             budget ends as 'timeout' and "
-           "retries\n"
-           "                             with backoff (or set\n"
-           "                             MCMGPU_JOB_TIMEOUT_S; 0 "
-           "disables)\n"
-           "  --sample-period <cycles>   sample windowed timelines every "
-           "N\n"
-           "                             cycles into <obs-dir>/"
-           "*.timeline.json\n"
-           "                             (or set MCMGPU_SAMPLE_PERIOD)\n"
-           "  --stats-json               dump per-run stats.json (or "
-           "set\n"
-           "                             MCMGPU_STATS_JSON=1)\n"
-           "  --trace-json               emit per-run Chrome trace.json "
-           "(or\n"
-           "                             set MCMGPU_TRACE_JSON=1)\n"
-           "  --obs-flight-recorder <n>  keep the last N events in a "
-           "ring;\n"
-           "                             failed runs dump them as\n"
-           "                             <obs-dir>/*.flight.json (or "
-           "set\n"
-           "                             MCMGPU_FLIGHT_RECORDER; 0 "
-           "disables)\n"
-           "  --obs-dir <dir>            observability output directory\n"
-           "                             (default obs-out; or set "
-           "MCMGPU_OBS_DIR)\n";
-}
-
-bool
-parseCliFlag(int argc, char **argv, int &i)
-{
-    const char *arg = argv[i];
-    auto value = [&]() -> const char * {
-        fatal_if(i + 1 >= argc, "flag '", arg, "' needs a value");
-        return argv[++i];
-    };
-    if (!std::strcmp(arg, "--quiet")) {
-        setProgress(false);
-    } else if (!std::strcmp(arg, "--jobs")) {
-        setJobs(unsigned(std::strtoul(value(), nullptr, 10)));
-    } else if (!std::strcmp(arg, "--runs-json")) {
-        setRunsJsonPath(value());
-    } else if (!std::strcmp(arg, "--cache-dir")) {
-        setCacheDir(value());
-    } else if (!std::strcmp(arg, "--job-timeout-s")) {
-        setJobTimeout(std::strtod(value(), nullptr));
-    } else if (!std::strcmp(arg, "--sample-period")) {
-        obs::Options o = obs::options();
-        o.sample_period = std::strtoull(value(), nullptr, 10);
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--stats-json")) {
-        obs::Options o = obs::options();
-        o.stats_json = true;
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--trace-json")) {
-        obs::Options o = obs::options();
-        o.trace_json = true;
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--obs-flight-recorder")) {
-        obs::Options o = obs::options();
-        o.flight_recorder = static_cast<uint32_t>(
-            std::strtoul(value(), nullptr, 10));
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--obs-dir")) {
-        obs::Options o = obs::options();
-        o.out_dir = value();
-        obs::setOptions(o);
-    } else {
-        return false;
-    }
-    return true;
 }
 
 std::string

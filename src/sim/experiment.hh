@@ -76,18 +76,6 @@ void setRunsJsonPath(std::string path);
 void setJobTimeout(double seconds);
 
 /**
- * Consume one shared experiment CLI flag at @p argv[i] (--quiet,
- * --jobs N, --runs-json PATH, --cache-dir DIR, --job-timeout-s S,
- * --sample-period N, --stats-json, --trace-json, --obs-dir DIR),
- * advancing @p i past any value. Every bench binary routes unrecognized args through
- * this. @return true if the flag was consumed.
- */
-bool parseCliFlag(int argc, char **argv, int &i);
-
-/** Usage text for the flags parseCliFlag() understands. */
-const char *cliFlagHelp();
-
-/**
  * Run @p w on @p cfg, memoized per process. Simulation exceptions
  * (panics) propagate to the caller, exactly like the serial harness.
  */

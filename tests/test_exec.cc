@@ -27,6 +27,7 @@
 #include "exec/result_cache.hh"
 #include "exec/telemetry.hh"
 #include "exec/thread_pool.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
 
@@ -636,24 +637,14 @@ TEST_F(ExecExperimentTest, JobsSettingResolves)
 
 TEST_F(ExecExperimentTest, ParseCliFlagConsumesSharedFlags)
 {
-    const char *argv_c[] = {"prog",     "--jobs",      "5",
-                            "--quiet",  "--runs-json", "/tmp/x.json",
-                            "--other",  "--cache-dir", "",
-                            nullptr};
-    char **argv = const_cast<char **>(argv_c);
-    int argc = 9;
-    std::vector<bool> consumed;
-    for (int i = 1; i < argc; ++i)
-        consumed.push_back(experiment::parseCliFlag(argc, argv, i));
-    // Values are skipped by parseCliFlag advancing i, so the loop only
-    // visits the five flag positions; --other is the one rejection.
-    ASSERT_EQ(consumed.size(), 5u);
-    EXPECT_TRUE(consumed[0]);  // --jobs (5 swallowed)
-    EXPECT_TRUE(consumed[1]);  // --quiet
-    EXPECT_TRUE(consumed[2]);  // --runs-json (path swallowed)
-    EXPECT_FALSE(consumed[3]); // --other
-    EXPECT_TRUE(consumed[4]);  // --cache-dir ("" swallowed)
+    const std::vector<cli::FlagTable> tables{cli::sweepFlags()};
+    cli::parse({"--jobs", "5", "--quiet", "--runs-json", "/tmp/x.json",
+                "--cache-dir", ""},
+               tables);
     EXPECT_EQ(experiment::jobs(), 5u);
+    EXPECT_FALSE(exec::Progress::instance().enabled());
+    // --other is the one rejection: no shared flag claims it.
+    EXPECT_THROW(cli::parse({"--other"}, tables), cli::UsageError);
     experiment::setRunsJsonPath("");
 }
 

@@ -30,6 +30,7 @@
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
 
@@ -625,14 +626,9 @@ TEST_F(ObsExperimentTest, RunsJsonCarriesSweepSummary)
 
 TEST_F(ObsExperimentTest, CliFlagsPopulateObsOptions)
 {
-    const char *argv_c[] = {"prog",         "--sample-period", "4096",
-                            "--stats-json", "--trace-json",    "--obs-dir",
-                            "/tmp/obs-x",   "--obs-flight-recorder",
-                            "256",          nullptr};
-    char **argv = const_cast<char **>(argv_c);
-    int argc = 9;
-    for (int i = 1; i < argc; ++i)
-        EXPECT_TRUE(experiment::parseCliFlag(argc, argv, i)) << i;
+    cli::parse({"--sample-period", "4096", "--stats-json", "--trace-json",
+                "--obs-dir", "/tmp/obs-x", "--obs-flight-recorder", "256"},
+               {cli::sweepFlags()});
 
     obs::Options opt = obs::options();
     EXPECT_EQ(opt.sample_period, 4096u);

@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -43,6 +42,7 @@
 #include "common/json.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/runtime.hh"
+#include "sim/cli.hh"
 #include "workloads/registry.hh"
 
 using namespace mcmgpu;
@@ -66,69 +66,15 @@ struct PairResult
     }
 };
 
-bool
-machineByName(const std::string &name, GpuConfig &cfg)
-{
-    // A "+adaptive" suffix on any preset switches the fabric to
-    // congestion-aware route selection and tags the config name, so
-    // adaptive pairs are distinct in the baseline.
-    static const std::string kAdaptive = "+adaptive";
-    if (name.size() > kAdaptive.size() &&
-        name.compare(name.size() - kAdaptive.size(), kAdaptive.size(),
-                     kAdaptive) == 0) {
-        const std::string base = name.substr(0, name.size() -
-                                                    kAdaptive.size());
-        if (!machineByName(base, cfg))
-            return false;
-        cfg.withRoutePolicy(RoutePolicy::Adaptive);
-        cfg.name += kAdaptive;
-        return true;
-    }
-    if (name == "mono-32")
-        cfg = configs::monolithic(32);
-    else if (name == "mono-128")
-        cfg = configs::monolithicBuildableMax();
-    else if (name == "mono-256")
-        cfg = configs::monolithicUnbuildable();
-    else if (name == "mcm-basic")
-        cfg = configs::mcmBasic();
-    else if (name == "mcm-optimized")
-        cfg = configs::mcmOptimized();
-    else if (name == "mcm-mesh")
-        cfg = configs::mcmMesh();
-    else if (name == "mcm-rings")
-        cfg = configs::mcmRingOfRings();
-    else if (name == "mcm-package")
-        cfg = configs::mcmPackage();
-    else if (name == "multi-gpu")
-        cfg = configs::multiGpuBaseline();
-    else if (name == "multi-gpu-opt")
-        cfg = configs::multiGpuOptimized();
-    else
-        return false;
-    return true;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
 PairResult
-runPair(const GpuConfig &cfg, const workloads::Workload &wl, int repeats)
+runPair(const GpuConfig &cfg, const workloads::Workload &wl,
+        unsigned repeats)
 {
     PairResult r;
     r.config = cfg.name;
     r.workload = wl.abbr;
     double best_ms = 0.0;
-    for (int i = 0; i < repeats; ++i) {
+    for (unsigned i = 0; i < repeats; ++i) {
         GpuSystem gpu(cfg);
         Runtime rt(gpu);
         const auto t0 = std::chrono::steady_clock::now();
@@ -298,39 +244,8 @@ parseBench(const std::string &text, std::vector<BaselinePair> &out)
     return true;
 }
 
-void
-usage()
-{
-    std::cout <<
-        "bench_baseline: simulator hot-path throughput harness\n"
-        "  --machines a,b     machine presets (default "
-        "mcm-basic,mcm-optimized;\n"
-        "                     also mcm-mesh, mcm-rings, mcm-package, "
-        "mono-*, multi-gpu*;\n"
-        "                     a +adaptive suffix, e.g. "
-        "mcm-mesh+adaptive, enables\n"
-        "                     congestion-aware route selection)\n"
-        "  --workloads x,y    workload abbreviations (default: all 48)\n"
-        "  --repeat N         repeats per pair, fastest kept (default 1)\n"
-        "  --mem-model M      chain | staged | staged-vc | both | all\n"
-        "                     (default chain); staged pairs carry a "
-        "+staged\n"
-        "                     config suffix, staged-vc pairs (2 virtual\n"
-        "                     channels, credit flow control) +staged-vc\n"
-        "  --sim-threads N    N > 1 adds a PDES pair family per machine:\n"
-        "                     +staged-dist (staged model, distributed\n"
-        "                     CTA batches, serial engine) and\n"
-        "                     +staged-dist-smtN (same machine on N\n"
-        "                     worker threads), plus a speedup summary\n"
-        "                     over the matched family\n"
-        "  --out FILE         write BENCH json (default "
-        "BENCH_hotpath.json)\n"
-        "  --baseline FILE    committed baseline to regress against\n"
-        "  --threshold PCT    max events/sec regression (default 20)\n"
-        "  --no-threshold     schema + cycle checks only (sanitizers)\n"
-        "  --compare FILE     print speedup vs another bench json\n"
-        "  --quiet            suppress per-pair progress\n";
-}
+/** The pair families --mem-model selects, as bits. */
+constexpr unsigned kChain = 1, kStaged = 2, kStagedVc = 4;
 
 } // namespace
 
@@ -338,104 +253,72 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> machines = {"mcm-basic", "mcm-optimized"};
-    std::vector<std::string> workload_names;
+    std::vector<const workloads::Workload *> suite;
     std::string out_path = "BENCH_hotpath.json";
     std::string baseline_path;
     std::string compare_path;
     double threshold_pct = 20.0;
-    bool use_threshold = true;
+    bool no_threshold = false;
     bool quiet = false;
-    int repeats = 1;
-    bool run_chain = true;
-    bool run_staged = false;
-    bool run_staged_vc = false;
+    unsigned repeats = 1;
+    unsigned families = kChain;
     uint32_t sim_threads = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.empty())
-            continue; // a disabled $<...> CMake genex passes ""
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << a << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--machines")
-            machines = splitCommas(next());
-        else if (a == "--workloads")
-            workload_names = splitCommas(next());
-        else if (a == "--repeat")
-            repeats = std::max(1, std::atoi(next().c_str()));
-        else if (a == "--mem-model") {
-            const std::string m = next();
-            run_chain = m == "chain" || m == "both" || m == "all";
-            run_staged = m == "staged" || m == "both" || m == "all";
-            run_staged_vc = m == "staged-vc" || m == "all";
-            if (!run_chain && !run_staged && !run_staged_vc) {
-                std::cerr << "unknown --mem-model " << m
-                          << " (chain | staged | staged-vc | both | "
-                             "all)\n";
-                return 2;
-            }
-        } else if (a == "--sim-threads")
-            sim_threads = static_cast<uint32_t>(
-                std::max(1, std::atoi(next().c_str())));
-        else if (a == "--out")
-            out_path = next();
-        else if (a == "--baseline")
-            baseline_path = next();
-        else if (a == "--threshold")
-            threshold_pct = std::atof(next().c_str());
-        else if (a == "--no-threshold")
-            use_threshold = false;
-        else if (a == "--compare")
-            compare_path = next();
-        else if (a == "--quiet")
-            quiet = true;
-        else if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::cerr << "unknown flag " << a << "\n";
-            usage();
-            return 2;
-        }
-    }
-
-    // Resolve the run set.
-    std::vector<const workloads::Workload *> suite;
-    if (workload_names.empty()) {
+    const cli::Choices<unsigned> models{
+        {"chain", kChain}, {"staged", kStaged}, {"staged-vc", kStagedVc},
+        {"both", kChain | kStaged}, {"all", kChain | kStaged | kStagedVc}};
+    const std::vector<std::string> &presets = configs::presetNames();
+    cli::parseArgs(argc, argv, {{"options", {
+        {"--machines", "<a,b,...>", "machine presets, each one of " +
+         cli::alternatives(presets) + " (default mcm-basic,mcm-optimized)",
+         [&](const std::string &v) {
+             machines = cli::parseList("--machines", v, presets);
+         }},
+        {"--workloads", "<x,y,...>", "workload abbreviations (default: all "
+         "48)", [&](const std::string &v) {
+             suite = cli::parseWorkloads("--workloads", v);
+         }},
+        cli::value("--repeat", "<n>", "repeats per pair, fastest kept "
+                   "(default 1)", repeats),
+        cli::choice("--mem-model", "pair families (default chain); staged "
+                    "pairs carry a +staged config suffix, staged-vc pairs "
+                    "(2 virtual channels, credit flow control) +staged-vc",
+                    families, models),
+        cli::value("--sim-threads", "<n>", "n > 1 adds a PDES pair family "
+                   "per machine: +staged-dist (staged model, distributed CTA "
+                   "batches, serial engine) and +staged-dist-smtN (the same "
+                   "machine on n worker threads), plus a speedup summary "
+                   "over the matched family", sim_threads),
+        cli::value("--out", "<file>", "write BENCH json (default "
+                   "BENCH_hotpath.json)", out_path),
+        cli::value("--baseline", "<file>", "committed baseline to regress "
+                   "against", baseline_path),
+        cli::value("--threshold", "<pct>", "max events/sec regression "
+                   "(default 20)", threshold_pct),
+        cli::toggle("--no-threshold", "schema + cycle checks only "
+                    "(sanitizers)", no_threshold),
+        cli::value("--compare", "<file>", "print speedup vs another bench "
+                   "json", compare_path),
+        cli::toggle("--quiet", "suppress per-pair progress", quiet),
+    }}});
+    repeats = std::max(1u, repeats);
+    if (suite.empty()) {
         for (const auto &w : workloads::allWorkloads())
             suite.push_back(&w);
-    } else {
-        for (const auto &n : workload_names) {
-            const auto *w = workloads::findByAbbr(n);
-            if (!w) {
-                std::cerr << "unknown workload " << n << "\n";
-                return 2;
-            }
-            suite.push_back(w);
-        }
     }
 
     std::vector<GpuConfig> cfgs;
     for (const auto &m : machines) {
-        GpuConfig cfg;
-        if (!machineByName(m, cfg)) {
-            std::cerr << "unknown machine " << m << "\n";
-            return 2;
-        }
-        if (run_chain)
+        const GpuConfig cfg = configs::preset(m);
+        if (families & kChain)
             cfgs.push_back(cfg);
-        if (run_staged) {
+        if (families & kStaged) {
             GpuConfig st = cfg;
             st.withMemModel(MemModel::Staged, 0);
             st.name += "+staged";
             cfgs.push_back(st);
         }
-        if (run_staged_vc) {
+        if (families & kStagedVc) {
             GpuConfig sv = cfg;
             sv.withMemModel(MemModel::Staged, 0);
             sv.withFabricVcs(2, 64);
@@ -616,7 +499,7 @@ main(int argc, char **argv)
                          "(simulation no longer bit-identical)\n";
             rc = 1;
         }
-        if (use_threshold && base_rate > 0.0 &&
+        if (!no_threshold && base_rate > 0.0 &&
             cur_rate < base_rate * (1.0 - threshold_pct / 100.0)) {
             std::cerr << "FAIL: events/sec regressed more than "
                       << threshold_pct << "% vs committed baseline\n";
