@@ -91,7 +91,7 @@ runCell(const Shape &shape, RoutePolicy policy,
     cell.modules = shape.modules;
     cell.policy = policy == RoutePolicy::Adaptive ? "adaptive" : "static";
     cell.workload = w.abbr;
-    cell.cycles = gpu.eventQueue().now();
+    cell.cycles = gpu.simEngine().now();
     gpu.fabric().visitLinks([&](const std::string &name, Link &l) {
         const double util =
             cell.cycles

@@ -254,8 +254,7 @@ EventQueue::step()
     Node *n = peekNext();
     if (n == nullptr)
         return false;
-    if (sample_period_ != 0)
-        fireBoundaries(n->when);
+    fireSamples(n->when);
     execNode(n);
     return true;
 }
@@ -263,59 +262,43 @@ EventQueue::step()
 EventQueue::Outcome
 EventQueue::run(Cycle limit)
 {
-    // Rebase the watchdog watermark: time that passed between run()
-    // calls (or before the first) is not a stall.
-    watch_progress_ = progress_;
-    watch_cycle_ = now_;
-    watch_executed_ = executed_;
-
+    guardRebase(ownTotals());
     while (Node *n = peekNext()) {
         if (n->when > limit)
             return Outcome::LimitHit;
-        if (sample_period_ != 0)
-            fireBoundaries(n->when);
-        if (deadline_armed_ && (executed_ & 0xFFF) == 0 &&
-            std::chrono::steady_clock::now() >= deadline_) {
-            throw SimTimeout(log_detail::concat(
-                "SimTimeout: wall-clock budget of ", wall_timeout_s_,
-                " s exhausted at cycle ", now_, " (", executed_,
-                " events executed, queue depth ", size_, ")"));
-        }
-        if (watchdog_window_ != 0) {
-            if (progress_ != watch_progress_) {
-                watch_progress_ = progress_;
-                watch_cycle_ = now_;
-                watch_executed_ = executed_;
-            } else if (now_ - watch_cycle_ > watchdog_window_ ||
-                       executed_ - watch_executed_ > watchdog_window_) {
-                // Events fired across (or piled up within) a whole
-                // window without one retired unit of work: livelock.
-                throwStall(limit);
-            }
-        }
+        guard(n->when, limit, ownTotals(), (executed_ & 0xFFF) == 0);
         execNode(n);
     }
     return Outcome::Drained;
 }
 
 void
-EventQueue::throwStall(Cycle limit)
+EventQueue::throwTimeout(const Totals &t) const
 {
-    std::ostringstream why;
-    why << "watchdog: no progress for " << (now_ - watch_cycle_)
-        << " cycles / " << (executed_ - watch_executed_) << " events"
-        << " (limit " << limit << ")";
-    raiseStall(why.str());
+    throw SimTimeout(log_detail::concat(
+        "SimTimeout: wall-clock budget of ", wall_timeout_s_,
+        " s exhausted at cycle ", t.now, " (", t.executed,
+        " events executed, queue depth ", t.pending, ")"));
 }
 
 void
-EventQueue::raiseStall(std::string why)
+EventQueue::throwStall(Cycle limit, const Totals &t)
+{
+    std::ostringstream why;
+    why << "watchdog: no progress for " << (t.now - watch_cycle_)
+        << " cycles / " << (t.executed - watch_executed_) << " events"
+        << " (limit " << limit << ")";
+    raiseStall(why.str(), t);
+}
+
+void
+EventQueue::raiseStall(std::string why, const Totals &t)
 {
     std::ostringstream diag;
     diag << why << '\n'
-         << "  now " << now_ << ", queue depth " << size_
-         << ", events executed " << executed_ << ", progress marks "
-         << progress_ << '\n';
+         << "  now " << t.now << ", queue depth " << t.pending
+         << ", events executed " << t.executed << ", progress marks "
+         << t.progress << '\n';
     if (dump_machine_state_)
         diag << dump_machine_state_();
 
@@ -341,21 +324,21 @@ EventQueue::raiseStall(std::string why)
         warn("fabric deadlock:\n", d);
         throw FabricDeadlock(
             log_detail::concat("FabricDeadlock: resource cycle ",
-                               cycle_names, " (queue depth ", size_,
-                               " at cycle ", now_, ")"),
+                               cycle_names, " (queue depth ", t.pending,
+                               " at cycle ", t.now, ")"),
             std::move(d), std::move(cycle_names));
     }
     warn("simulation stalled:\n", d);
     throw SimStall(
-        log_detail::concat("SimStall: ", why, " (queue depth ", size_,
-                           " at cycle ", now_, ")"),
+        log_detail::concat("SimStall: ", why, " (queue depth ", t.pending,
+                           " at cycle ", t.now, ")"),
         std::move(d));
 }
 
 void
-EventQueue::diagnoseWedge(const std::string &why)
+EventQueue::diagnoseWedge(const std::string &why, const Totals &t)
 {
-    raiseStall(log_detail::concat("wedged: ", why));
+    raiseStall(log_detail::concat("wedged: ", why), t);
 }
 
 void

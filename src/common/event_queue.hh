@@ -22,11 +22,15 @@
  * execution order is exactly the order the old pure-heap engine
  * produced, event for event.
  *
- * A no-progress watchdog guards the drain: components mark real work
+ * A guard runs beside the drain: a no-progress watchdog, a wall-clock
+ * deadline and passive sample boundaries. Components mark real work
  * via noteProgress(), and if events keep executing for a whole window
  * without a single mark the queue raises a typed SimStall carrying a
  * machine-state diagnostic — a misconfigured machine fails loudly
- * instead of livelocking to the cycle limit.
+ * instead of livelocking to the cycle limit. The guard's state lives
+ * here alone: run() evaluates it before every event, and the parallel
+ * engine (SimEngine) evaluates the same guard() on its queue 0 at
+ * every window barrier, over engine-wide totals.
  */
 
 #ifndef MCMGPU_COMMON_EVENT_QUEUE_HH
@@ -172,10 +176,9 @@ class EventQueue
     // --- PDES window interface (see docs/PDES.md) ---------------------------
     /**
      * Execute every pending event with when < @p end_exclusive, in
-     * (when, sched_when, seq) order. No sample boundaries, watchdog, or
-     * wall-deadline checks run here — the owning SimEngine performs all
-     * three at window barriers so their semantics stay global. Returns
-     * the number of events executed.
+     * (when, sched_when, seq) order. The guard does not run here — the
+     * owning SimEngine evaluates it at window barriers so its semantics
+     * stay global. Returns the number of events executed.
      */
     uint64_t runWindow(Cycle end_exclusive);
 
@@ -199,13 +202,74 @@ class EventQueue
      */
     Cycle currentSchedWhen() const { return cur_sched_when_; }
 
-    // --- No-progress watchdog ------------------------------------------------
+    // --- Guard: watchdog, wall deadline, sample boundaries -------------------
     /**
-     * Arm the livelock watchdog: if run() executes events across a
-     * window of @p window_cycles cycles — or @p window_cycles events at
-     * one cycle — without noteProgress() being called, it dumps the
-     * queue state plus @p dump_machine_state (may be null) and throws
-     * SimStall. @p window_cycles == 0 disarms.
+     * The counters the guard and a stall diagnostic read: this queue's
+     * own in run(), the sums over every domain in the parallel engine
+     * (SimEngine::totals()).
+     */
+    struct Totals
+    {
+        Cycle now;         //!< time of the last executed event
+        uint64_t executed; //!< events executed
+        uint64_t progress; //!< noteProgress() marks
+        size_t pending;    //!< events not yet executed
+    };
+
+    /** Start a run: time that passed between runs (or before the
+     *  first) is not a stall. */
+    void
+    guardRebase(const Totals &t)
+    {
+        watch_progress_ = t.progress;
+        watch_cycle_ = t.now;
+        watch_executed_ = t.executed;
+    }
+
+    /**
+     * Evaluate the guard before executing work that starts at @p next:
+     * fire every sample boundary at or before @p next, throw SimTimeout
+     * once the wall deadline has passed (tested only when
+     * @p check_deadline), and throw SimStall once @p t shows a whole
+     * watchdog window since the last progress mark. The watchdog
+     * measures from the last event that ran (@p t.now), never from
+     * @p next. run() calls this before every event, testing the
+     * deadline every 4096 events; the parallel engine calls it at every
+     * barrier.
+     */
+    void
+    guard(Cycle next, Cycle limit, const Totals &t, bool check_deadline)
+    {
+        fireSamples(next);
+        if (deadline_armed_ && check_deadline &&
+            std::chrono::steady_clock::now() >= deadline_)
+            throwTimeout(t);
+        if (watchdog_window_ != 0) {
+            if (t.progress != watch_progress_) {
+                guardRebase(t);
+            } else if (t.now - watch_cycle_ > watchdog_window_ ||
+                       t.executed - watch_executed_ > watchdog_window_) {
+                // Events fired across (or piled up within) a whole
+                // window without one retired unit of work: livelock.
+                throwStall(limit, t);
+            }
+        }
+    }
+
+    /** Fire every unfired sample boundary at or before @p when. */
+    void
+    fireSamples(Cycle when)
+    {
+        if (sample_period_ != 0)
+            fireBoundaries(when);
+    }
+
+    /**
+     * Arm the livelock watchdog: if the guard sees events execute
+     * across a window of @p window_cycles cycles — or @p window_cycles
+     * events at one cycle — without noteProgress() being called, it
+     * dumps the queue state plus @p dump_machine_state (may be null)
+     * and throws SimStall. @p window_cycles == 0 disarms.
      */
     void setWatchdog(Cycle window_cycles,
                      std::function<std::string()> dump_machine_state = {});
@@ -233,23 +297,20 @@ class EventQueue
      * wait-for graph and throws FabricDeadlock when it closes a cycle,
      * SimStall otherwise. @p why describes what the caller observed.
      */
-    [[noreturn]] void diagnoseWedge(const std::string &why);
+    [[noreturn]] void diagnoseWedge(const std::string &why)
+    { diagnoseWedge(why, ownTotals()); }
 
-    /**
-     * Raise a stall with caller-composed @p why through this queue's
-     * machine dump and wait reporters. The SimEngine's barrier-level
-     * watchdog uses this so parallel stalls carry the same diagnostics
-     * as serial ones.
-     */
-    [[noreturn]] void raiseStallExternal(std::string why)
-    { raiseStall(std::move(why)); }
+    /** The same, reporting @p t (the parallel engine's totals). */
+    [[noreturn]] void diagnoseWedge(const std::string &why,
+                                    const Totals &t);
 
     // --- Wall-clock deadline -------------------------------------------------
     /**
      * Abort run() with SimTimeout once @p seconds of host wall-clock
      * have elapsed from this call. Checked every 4096 executed events,
-     * so the overhead with a deadline armed is one flag test per event.
-     * @p seconds <= 0 disarms.
+     * so the overhead with a deadline armed is one flag test per event
+     * (the parallel engine checks at every barrier). @p seconds <= 0
+     * disarms.
      */
     void setWallDeadline(double seconds);
 
@@ -257,11 +318,12 @@ class EventQueue
     /**
      * Fire @p hook once per @p period cycles while the queue drains.
      * The hook is purely passive: it is invoked just before executing
-     * the first event at-or-past each window boundary, with the
-     * boundary cycle as argument. It never schedules events, so arming
-     * it cannot perturb event order, simulated time, or the executed()
-     * count. @p period == 0 disarms (the per-event cost collapses to
-     * one integer compare).
+     * the first event at-or-past each window boundary (the parallel
+     * engine: at the barrier before the window that holds it, or at the
+     * end of the run), with the boundary cycle as argument. It never
+     * schedules events, so arming it cannot perturb event order,
+     * simulated time, or the executed() count. @p period == 0 disarms
+     * (the per-event cost collapses to one integer compare).
      *
      * Boundaries land at period, 2*period, ... — a boundary fires only
      * once simulated time is known to have reached it; trailing
@@ -334,17 +396,20 @@ class EventQueue
     /** Unlink @p n (the current peekNext()), advance time, fire it. */
     void execNode(Node *n);
 
-    /** Fire every unfired sample boundary at or before @p when. */
+    /** fireSamples() with a sampler armed. */
     void fireBoundaries(Cycle when);
 
-    [[noreturn]] void throwStall(Cycle limit);
+    Totals ownTotals() const { return {now_, executed_, progress_, size_}; }
+
+    [[noreturn]] void throwTimeout(const Totals &t) const;
+    [[noreturn]] void throwStall(Cycle limit, const Totals &t);
 
     /**
-     * Shared stall-raising tail: append queue state and the machine
+     * Shared stall-raising tail: append the totals @p t and the machine
      * dump to @p why, build the wait-for graph from the registered
      * reporters, and throw FabricDeadlock (cycle found) or SimStall.
      */
-    [[noreturn]] void raiseStall(std::string why);
+    [[noreturn]] void raiseStall(std::string why, const Totals &t);
 
     // Calendar state.
     std::vector<Bucket> buckets_;  //!< lazily sized to kWindow
@@ -364,9 +429,9 @@ class EventQueue
     uint64_t next_seq_ = 0;
     uint64_t executed_ = 0;
 
-    // Watchdog state: a stall is declared when run() crosses the window
-    // (in cycles, or in events for same-cycle livelocks) with progress_
-    // unchanged since the last watermark.
+    // Watchdog state: a stall is declared when the guard sees the window
+    // crossed (in cycles, or in events for same-cycle livelocks) with
+    // progress unchanged since the last watermark.
     Cycle watchdog_window_ = 0;
     std::function<std::string()> dump_machine_state_;
     uint64_t progress_ = 0;

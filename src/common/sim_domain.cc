@@ -3,21 +3,8 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 
 namespace mcmgpu {
-
-SimDomain::SimDomain(uint32_t id)
-    : id_(id), rng_state_(splitmix64(0x9e3779b97f4a7c15ull ^ (id + 1)))
-{
-}
-
-uint64_t
-SimDomain::rngNext()
-{
-    rng_state_ = splitmix64(rng_state_);
-    return rng_state_;
-}
 
 void
 SimDomain::drainInbox()
@@ -53,116 +40,18 @@ SimEngine::activateParallel(uint32_t num_domains, uint32_t threads,
     startWorkers();
 }
 
-void
-SimEngine::deactivateParallel()
+EventQueue::Totals
+SimEngine::totals() const
 {
-    if (!parallel())
-        return;
-    for (auto &d : domains_) {
-        panic_if(!d->queue().empty() || d->queue().now() != 0 ||
-                     !d->inbox_.empty(),
-                 "deactivateParallel after events were scheduled");
+    EventQueue::Totals t{0, 0, 0, 0};
+    for (const auto &d : domains_) {
+        const EventQueue &q = d->queue();
+        t.now = std::max(t.now, q.now());
+        t.executed += q.executed();
+        t.progress += q.progressMarks();
+        t.pending += q.size() + d->inbox_.size();
     }
-    stopWorkers();
-    shutdown_ = false;
-    domains_.resize(1);
-    lookahead_ = 0;
-    threads_ = 1;
-    // Hand engine-held services back to the serial queue so anything
-    // armed before the downgrade keeps its effect.
-    if (deadline_armed_) {
-        deadline_armed_ = false;
-        queue(0).setWallDeadline(wall_timeout_s_);
-    }
-    if (sample_period_ != 0) {
-        queue(0).setSampleHook(sample_period_, std::move(sample_hook_));
-        sample_period_ = 0;
-        sample_hook_ = nullptr;
-    }
-    watchdog_window_ = 0;
-    sequencer_hook_ = nullptr;
-}
-
-Cycle
-SimEngine::now() const
-{
-    if (!parallel())
-        return queue(0).now();
-    Cycle t = 0;
-    for (const auto &d : domains_)
-        t = std::max(t, d->queue().now());
     return t;
-}
-
-uint64_t
-SimEngine::executed() const
-{
-    uint64_t n = 0;
-    for (const auto &d : domains_)
-        n += d->queue().executed();
-    return n;
-}
-
-size_t
-SimEngine::pending() const
-{
-    size_t n = 0;
-    for (const auto &d : domains_)
-        n += d->queue().size() + d->inbox_.size();
-    return n;
-}
-
-uint64_t
-SimEngine::progressMarks() const
-{
-    uint64_t n = 0;
-    for (const auto &d : domains_)
-        n += d->queue().progressMarks();
-    return n;
-}
-
-void
-SimEngine::setWatchdog(Cycle window_cycles,
-                       std::function<std::string()> dump_machine_state)
-{
-    if (!parallel()) {
-        queue(0).setWatchdog(window_cycles, std::move(dump_machine_state));
-        return;
-    }
-    watchdog_window_ = window_cycles;
-    // Queue 0 keeps the machine dump (raiseStallExternal routes through
-    // it) but its own per-event watchdog stays disarmed.
-    queue(0).setWatchdog(0, std::move(dump_machine_state));
-}
-
-void
-SimEngine::setWallDeadline(double seconds)
-{
-    if (!parallel()) {
-        queue(0).setWallDeadline(seconds);
-        return;
-    }
-    deadline_armed_ = seconds > 0.0;
-    wall_timeout_s_ = deadline_armed_ ? seconds : 0.0;
-    if (deadline_armed_) {
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
-    }
-}
-
-void
-SimEngine::setSampleHook(Cycle period, std::function<void(Cycle)> hook)
-{
-    if (!parallel()) {
-        queue(0).setSampleHook(period, std::move(hook));
-        return;
-    }
-    sample_period_ = hook ? period : 0;
-    sample_hook_ = std::move(hook);
-    next_sample_ =
-        sample_period_ ? (now() / sample_period_ + 1) * sample_period_ : 0;
 }
 
 void
@@ -178,29 +67,12 @@ SimEngine::drainInboxes()
         d->drainInbox();
 }
 
-void
-SimEngine::diagnoseWedge(const std::string &why)
-{
-    queue(0).diagnoseWedge(why);
-}
-
 SimEngine::Outcome
 SimEngine::run(Cycle limit)
 {
     if (!parallel())
         return queue(0).run(limit);
     return runParallel(limit);
-}
-
-void
-SimEngine::fireBoundariesUpTo(Cycle when)
-{
-    if (sample_period_ == 0)
-        return;
-    while (next_sample_ <= when) {
-        sample_hook_(next_sample_);
-        next_sample_ += sample_period_;
-    }
 }
 
 bool
@@ -228,23 +100,21 @@ SimEngine::globalNext(Cycle &when, Cycle &sched) const
 SimEngine::Outcome
 SimEngine::runParallel(Cycle limit)
 {
-    // Rebase the watchdog watermark exactly like EventQueue::run().
-    watch_progress_ = progressMarks();
-    watch_cycle_ = now();
-    watch_executed_ = executed();
+    EventQueue &q0 = queue(0); // holds the guard
+    q0.guardRebase(totals());
 
     const Cycle cap = limit == kCycleMax ? kCycleMax : limit + 1;
     for (;;) {
         Cycle next, next_sched;
         if (!globalNext(next, next_sched)) {
-            fireBoundariesUpTo(now());
+            q0.fireSamples(now());
             return Outcome::Drained;
         }
         if (next > limit) {
             // Leave the queues as an immediate delivery would have: the
             // caller may schedule more work before it resumes.
             drainInboxes();
-            fireBoundariesUpTo(now());
+            q0.fireSamples(now());
             return Outcome::LimitHit;
         }
 
@@ -254,32 +124,11 @@ SimEngine::runParallel(Cycle limit)
         // fire at the following barrier (the engine never narrows a
         // window for sampling: observability stays passive, so the
         // observed run matches the unobserved one cycle for cycle).
-        fireBoundariesUpTo(next);
-
-        if (deadline_armed_ &&
-            std::chrono::steady_clock::now() >= deadline_) {
-            drainInboxes();
-            throw SimTimeout(log_detail::concat(
-                "SimTimeout: wall-clock budget of ", wall_timeout_s_,
-                " s exhausted at cycle ", now(), " (", executed(),
-                " events executed, queue depth ", pending(), ")"));
-        }
-
-        if (watchdog_window_ != 0) {
-            const uint64_t progress = progressMarks();
-            const uint64_t execed = executed();
-            if (progress != watch_progress_) {
-                watch_progress_ = progress;
-                watch_cycle_ = next;
-                watch_executed_ = execed;
-            } else if (next - watch_cycle_ > watchdog_window_ ||
-                       execed - watch_executed_ > watchdog_window_) {
-                drainInboxes();
-                queue(0).raiseStallExternal(log_detail::concat(
-                    "watchdog: no progress for ", next - watch_cycle_,
-                    " cycles / ", execed - watch_executed_,
-                    " events (limit ", limit, ")"));
-            }
+        try {
+            q0.guard(next, limit, totals(), true);
+        } catch (...) {
+            drainInboxes(); // an aborted run leaves no entry undelivered
+            throw;
         }
 
         // The cap exceeds `next` here, so the window always admits at

@@ -3,12 +3,11 @@
  * Conservative parallel-discrete-event engine: per-GPM simulation
  * domains synchronized at lookahead-bounded window barriers.
  *
- * A SimDomain owns one slab-calendar EventQueue plus a private RNG
- * stream; every component of one GPM (its SMs, L1.5, home L2/DRAM
- * partitions, and MemPipeline stages) schedules exclusively into its
- * home domain's queue. The SimEngine runs rounds: pick the global
- * minimum next-event time `next`, bound a window end
- * W = min(next + lookahead, limit + 1),
+ * A SimDomain owns one slab-calendar EventQueue; every component of
+ * one GPM (its SMs, L1.5, home L2/DRAM partitions, and MemPipeline
+ * stages) schedules exclusively into its home domain's queue. The
+ * SimEngine runs rounds: pick the global minimum next-event time
+ * `next`, bound a window end W = min(next + lookahead, limit + 1),
  * execute every domain's events with when < W in parallel, then — at
  * the barrier, single-threaded — let the registered sequencer hook
  * merge the cross-domain message outboxes in (emit cycle, source
@@ -24,6 +23,9 @@
  *
  * With one domain the engine is a pass-through to the serial
  * EventQueue — same code path, bit-identical behaviour (docs/PDES.md).
+ * Both modes share one guard (watchdog, wall deadline, sample
+ * boundaries), held by queue 0: the serial loop evaluates it per
+ * event, the window loop per barrier over the engine's totals.
  */
 
 #ifndef MCMGPU_COMMON_SIM_DOMAIN_HH
@@ -42,21 +44,16 @@
 
 namespace mcmgpu {
 
-/** One GPM's simulation context: an event queue, an RNG stream, and
- *  the inbox of barrier deliveries bound for the queue. */
+/** One GPM's simulation context: an event queue and the inbox of
+ *  barrier deliveries bound for it. */
 class SimDomain
 {
   public:
-    explicit SimDomain(uint32_t id);
+    explicit SimDomain(uint32_t id) : id_(id) {}
 
     uint32_t id() const { return id_; }
     EventQueue &queue() { return eq_; }
     const EventQueue &queue() const { return eq_; }
-
-    /** Next value of this domain's private RNG stream (seeded by the
-     *  domain id, so streams are decorrelated and a domain's draws do
-     *  not depend on other domains' activity). */
-    uint64_t rngNext();
 
   private:
     friend class SimEngine;
@@ -75,7 +72,6 @@ class SimDomain
 
     uint32_t id_;
     EventQueue eq_;
-    uint64_t rng_state_;
 
     std::vector<Delivery> inbox_;
 };
@@ -106,16 +102,6 @@ class SimEngine
     void activateParallel(uint32_t num_domains, uint32_t threads,
                           Cycle lookahead);
 
-    /**
-     * Collapse back to the serial single-domain engine. Legal only
-     * while no events have been scheduled — it exists so an owner that
-     * activated parallel mode at construction can still honour a
-     * later-arriving serial-only requirement (e.g. an event-trace or
-     * flight-recorder attachment, docs/PDES.md). Queue 0 references
-     * stay valid; workers are joined and the extra domains destroyed.
-     */
-    void deactivateParallel();
-
     bool parallel() const { return domains_.size() > 1; }
     uint32_t numDomains() const
     { return static_cast<uint32_t>(domains_.size()); }
@@ -126,29 +112,32 @@ class SimEngine
     const EventQueue &queue(uint32_t d) const
     { return domains_[d]->queue(); }
 
-    /** Simulated time: the serial queue's now(), or in parallel mode
-     *  the maximum domain time — which at any barrier equals the time
-     *  of the globally last executed event, i.e. the serial now(). */
-    Cycle now() const;
+    /**
+     * The engine's totals over every domain: now is the maximum domain
+     * time — which at any barrier equals the time of the globally last
+     * executed event, i.e. the serial now() — and pending counts
+     * undelivered inbox entries too. With one domain these are queue
+     * 0's own counters.
+     */
+    EventQueue::Totals totals() const;
+
+    Cycle now() const { return totals().now; }
 
     /** Events executed across all domains. The owner subtracts its own
      *  accounting corrections (e.g. message-delivery events that the
      *  serial engine would have folded into the emitting event). */
-    uint64_t executed() const;
+    uint64_t executed() const { return totals().executed; }
 
-    /** Pending events across all domains, undelivered inbox entries
-     *  included. */
-    size_t pending() const;
+    size_t pending() const { return totals().pending; }
 
     /** Progress marks across all domains (see EventQueue). */
-    uint64_t progressMarks() const;
+    uint64_t progressMarks() const { return totals().progress; }
 
     /**
      * Drain every domain until empty or until the next event lies past
      * @p limit. Serial mode delegates to EventQueue::run(). Parallel
-     * mode runs barrier-synchronized windows; watchdog, wall deadline,
-     * and sample boundaries are evaluated at barriers with the same
-     * observable semantics as the serial loop.
+     * mode runs barrier-synchronized windows and evaluates queue 0's
+     * guard at every barrier over totals() (EventQueue::guard()).
      */
     Outcome run(Cycle limit = kCycleMax);
 
@@ -169,22 +158,24 @@ class SimEngine
      */
     void deliver(uint32_t dom, Cycle when, Cycle sched, EventFn fn);
 
-    // --- Forwarded queue services ------------------------------------------
-    /** Serial: arms queue 0's watchdog. Parallel: engine-level check at
-     *  each barrier over summed progress/executed counters, raising the
-     *  stall through queue 0 (where wait reporters register). */
-    void setWatchdog(Cycle window_cycles,
-                     std::function<std::string()> dump_machine_state);
+    // --- Queue 0's guard, shared by both modes ------------------------------
+    void
+    setWatchdog(Cycle window_cycles,
+                std::function<std::string()> dump_machine_state)
+    { queue(0).setWatchdog(window_cycles, std::move(dump_machine_state)); }
 
-    void setWallDeadline(double seconds);
+    void setWallDeadline(double seconds)
+    { queue(0).setWallDeadline(seconds); }
 
-    /** Passive sampling hook; parallel mode fires boundaries at
-     *  barriers, matching the serial engine's boundary semantics. */
-    void setSampleHook(Cycle period, std::function<void(Cycle)> hook);
+    /** The first boundary follows queue 0's clock, which is the
+     *  engine's until the first window runs. */
+    void setSampleHook(Cycle period, std::function<void(Cycle)> hook)
+    { queue(0).setSampleHook(period, std::move(hook)); }
 
     /** Diagnose an outside-the-loop wedge via queue 0 (reporters live
-     *  there). */
-    [[noreturn]] void diagnoseWedge(const std::string &why);
+     *  there), reporting the engine's totals. */
+    [[noreturn]] void diagnoseWedge(const std::string &why)
+    { queue(0).diagnoseWedge(why, totals()); }
 
   private:
     Outcome runParallel(Cycle limit);
@@ -196,9 +187,6 @@ class SimEngine
     /** Insert every domain's undelivered inbox (a run is returning or
      *  aborting between windows). */
     void drainInboxes();
-
-    /** Fire every unfired sample boundary at or before @p when. */
-    void fireBoundariesUpTo(Cycle when);
 
     void startWorkers();
     void stopWorkers();
@@ -213,20 +201,6 @@ class SimEngine
     uint32_t threads_ = 1;
 
     std::function<void()> sequencer_hook_;
-
-    // Parallel-mode watchdog / deadline / sampling state (mirrors the
-    // EventQueue fields; serial mode leaves these untouched and uses
-    // the queue's own).
-    Cycle watchdog_window_ = 0;
-    uint64_t watch_progress_ = 0;
-    Cycle watch_cycle_ = 0;
-    uint64_t watch_executed_ = 0;
-    bool deadline_armed_ = false;
-    std::chrono::steady_clock::time_point deadline_{};
-    double wall_timeout_s_ = 0.0;
-    Cycle sample_period_ = 0;
-    Cycle next_sample_ = 0;
-    std::function<void(Cycle)> sample_hook_;
 
     // Worker pool: round-numbered dispatch, atomic completion count.
     std::vector<std::thread> workers_;

@@ -6,10 +6,12 @@
 
 namespace mcmgpu {
 
-Sm::Sm(SmId id, ModuleId module, const GpuConfig &cfg, SmContext &ctx)
+Sm::Sm(SmId id, ModuleId module, const GpuConfig &cfg, SmContext &ctx,
+       EventQueue &eq)
     : id_(id),
       module_(module),
       ctx_(ctx),
+      eq_(eq),
       l1_(cfg.l1, "sm" + std::to_string(id) + ".l1", /*write_back=*/false),
       max_warps_(cfg.max_warps_per_sm),
       max_ctas_(cfg.max_ctas_per_sm),
@@ -50,12 +52,11 @@ Sm::launchCta(const KernelDesc &kernel, CtaId cta, Cycle now)
     resident_warps_ += kernel.warps_per_cta;
     warps_left_[cta] = kernel.warps_per_cta;
 
-    EventQueue &eq = ctx_.eventQueueFor(module_);
     for (WarpId w = 0; w < kernel.warps_per_cta; ++w) {
         auto run = std::make_shared<WarpRun>();
         run->trace = kernel.make_trace(cta, w);
         run->cta = cta;
-        eq.schedule(now, [this, run = std::move(run)]() mutable {
+        eq_.schedule(now, [this, run = std::move(run)]() mutable {
             stepWarp(std::move(run));
         });
     }
@@ -64,8 +65,7 @@ Sm::launchCta(const KernelDesc &kernel, CtaId cta, Cycle now)
 void
 Sm::stepWarp(std::shared_ptr<WarpRun> warp)
 {
-    EventQueue &eq = ctx_.eventQueueFor(module_);
-    const Cycle now = eq.now();
+    const Cycle now = eq_.now();
 
     WarpOp op;
     Cycle issued;
@@ -97,7 +97,7 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
                 warp->drain_parked = true;
             } else if (drain > now) {
                 warp->inflight.fill(0);
-                eq.schedule(drain, [this, w = std::move(warp)]() mutable {
+                eq_.schedule(drain, [this, w = std::move(warp)]() mutable {
                     stepWarp(std::move(w));
                 });
             } else {
@@ -108,7 +108,7 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
         ++warp_insts_;
         // Forward progress for the simulation watchdog: as long as some
         // warp keeps executing instructions, the machine is not stalled.
-        eq.noteProgress();
+        eq_.noteProgress();
 
         // The warp's compute segment occupies the shared issue pipeline;
         // a trailing memory instruction takes one extra issue slot.
@@ -179,7 +179,7 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
         }
     }
 
-    eq.schedule(ready, [this, w = std::move(warp)]() mutable {
+    eq_.schedule(ready, [this, w = std::move(warp)]() mutable {
         stepWarp(std::move(w));
     });
 }
@@ -199,9 +199,8 @@ Sm::memDone(const std::shared_ptr<WarpRun> &warp, uint32_t slot,
     if ((warp->has_replay && warp->park_slot == slot) ||
         warp->drain_parked) {
         warp->drain_parked = false;
-        EventQueue &eq = ctx_.eventQueueFor(module_);
-        const Cycle wake = std::max(done, eq.now());
-        eq.schedule(wake, [this, w = warp]() mutable {
+        const Cycle wake = std::max(done, eq_.now());
+        eq_.schedule(wake, [this, w = warp]() mutable {
             stepWarp(std::move(w));
         });
     }

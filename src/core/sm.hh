@@ -44,15 +44,6 @@ class SmContext
   public:
     virtual ~SmContext() = default;
 
-    virtual EventQueue &eventQueue() = 0;
-
-    /**
-     * The event queue module @p m schedules into. Defaults to the
-     * single system queue; a domain-partitioned system (parallel
-     * engine, docs/PDES.md) returns the module's home-domain queue.
-     */
-    virtual EventQueue &eventQueueFor(ModuleId) { return eventQueue(); }
-
     /**
      * Resolve an L1 miss (load) or a write-through store issued by a SM
      * on module @p src at time @p now. @p done fires exactly once with
@@ -71,7 +62,11 @@ class SmContext
 class Sm
 {
   public:
-    Sm(SmId id, ModuleId module, const GpuConfig &cfg, SmContext &ctx);
+    /** @p eq is the queue of the SM's home module: the one serial
+     *  queue, or the module's domain under the parallel engine
+     *  (docs/PDES.md). Every warp event of this SM schedules there. */
+    Sm(SmId id, ModuleId module, const GpuConfig &cfg, SmContext &ctx,
+       EventQueue &eq);
 
     SmId id() const { return id_; }
     ModuleId module() const { return module_; }
@@ -141,6 +136,7 @@ class Sm
     SmId id_;
     ModuleId module_;
     SmContext &ctx_;
+    EventQueue &eq_;
     Cache l1_;
     uint32_t max_warps_;
     uint32_t max_ctas_;

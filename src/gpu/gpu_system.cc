@@ -8,8 +8,8 @@
 
 namespace mcmgpu {
 
-GpuSystem::GpuSystem(const GpuConfig &cfg)
-    : cfg_(cfg), eq_(engine_.queue(0)), page_table_(cfg)
+GpuSystem::GpuSystem(const GpuConfig &cfg, obs::Recorder *rec)
+    : cfg_(cfg), page_table_(cfg), rec_(rec)
 {
     cfg_.validate();
     link_domain_ =
@@ -17,13 +17,27 @@ GpuSystem::GpuSystem(const GpuConfig &cfg)
 
     fabric_ = Fabric::create(cfg_);
 
+    // The engine mode is final before any component takes its queue.
+    if (cfg_.sim_threads > 1) {
+        if (const char *why = serialReason(cfg_, *fabric_, rec_)) {
+            warn_once("--sim-threads ", cfg_.sim_threads,
+                      " requested but ", why, "; running serial");
+        } else {
+            engine_.activateParallel(
+                cfg_.num_modules,
+                std::min<uint32_t>(cfg_.sim_threads, cfg_.num_modules),
+                fabric_->minRouteCycles());
+        }
+    }
+
     const uint32_t total_sms = cfg_.totalSms();
     sms_.reserve(total_sms);
     sm_enabled_.reserve(total_sms);
     enabled_per_module_.assign(cfg_.num_modules, 0);
     for (SmId s = 0; s < total_sms; ++s) {
         const ModuleId m = s / cfg_.sms_per_module;
-        sms_.push_back(std::make_unique<Sm>(s, m, cfg_, *this));
+        sms_.push_back(
+            std::make_unique<Sm>(s, m, cfg_, *this, moduleQueue(m)));
         const bool on = !cfg_.fault.smDisabled(m, s % cfg_.sms_per_module);
         sm_enabled_.push_back(on);
         if (on) {
@@ -52,89 +66,62 @@ GpuSystem::GpuSystem(const GpuConfig &cfg)
             cfg_.dram_turnaround_cycles, cfg_.dram_write_drain));
     }
 
-    pipeline_ = std::make_unique<MemPipeline>(cfg_, eq_, page_table_,
-                                              *fabric_, energy_,
-                                              link_domain_, l15_, l2_,
-                                              dram_);
+    pipeline_ = std::make_unique<MemPipeline>(cfg_, engine_.queue(0),
+                                              page_table_, *fabric_,
+                                              energy_, link_domain_, l15_,
+                                              l2_, dram_, rec_);
+    if (engine_.parallel()) {
+        pipeline_->enableDomains(engine_);
+        MemPipeline *p = pipeline_.get();
+        engine_.setSequencerHook([p] { p->processMessages(); });
+    }
 
-    if (cfg_.sim_threads > 1)
-        activateParallelIfEligible();
-
-    // Armed after the parallel decision so the engine routes it: serial
-    // mode to queue 0's per-event check, parallel mode to the
-    // engine-level barrier check.
     if (cfg_.watchdog_cycles > 0) {
         engine_.setWatchdog(cfg_.watchdog_cycles,
                             [this] { return occupancyDiagnostic(); });
     }
+    if (rec_)
+        wireRecorder();
 }
 
-void
-GpuSystem::activateParallelIfEligible()
+const char *
+GpuSystem::serialReason(const GpuConfig &cfg, const Fabric &fabric,
+                        obs::Recorder *rec)
 {
-    // Every condition here protects an invariant of the conservative
-    // window engine (docs/PDES.md): events of one module touch only
-    // that module's state, cross-module effects travel as sequencer
-    // messages, and nothing outside the sequencer observes more than
-    // one domain. Anything else must fall back to the serial engine —
-    // same results, just single-threaded.
-    const char *why = nullptr;
-    if (cfg_.num_modules < 2)
-        why = "a single module leaves nothing to parallelize";
-    else if (cfg_.mem_model != MemModel::Staged)
-        why = "the chain memory model walks remote phases synchronously "
-              "(need --mem-model staged)";
-    else if (cfg_.fabric_vcs > 0)
-        why = "virtual-channel credits are shared cross-module state "
-              "(need fabric_vcs = 0)";
-    else if (cfg_.cta_sched != CtaSchedPolicy::DistributedBatch)
-        why = "only the distributed CTA scheduler partitions its state "
-              "per module (need --sched distributed)";
-    else if (cfg_.page_policy == PagePolicy::FirstTouch)
-        why = "first-touch page placement mutates the page table on "
-              "access order";
-    else if (!cfg_.fault.empty())
-        why = "fault plans inject global retry/rehoming state";
-
-    Cycle lookahead = 0;
-    if (why == nullptr) {
-        lookahead = fabric_->minRouteCycles();
-        if (lookahead <= 1) {
-            // Satellite guard: a one-cycle (or unrouted) fabric gives
-            // the window engine no usable lookahead — every window
-            // would degenerate to single-event serial catch-up.
-            why = "minimum inter-module route latency <= 1 cycle "
-                  "leaves no conservative lookahead";
-        }
-    }
-
-    if (why != nullptr) {
-        warn_once("--sim-threads ", cfg_.sim_threads,
-                  " requested but ", why, "; running serial");
-        return;
-    }
-
-    engine_.activateParallel(
-        cfg_.num_modules,
-        std::min<uint32_t>(cfg_.sim_threads, cfg_.num_modules), lookahead);
-    pipeline_->enableDomains(engine_);
-    MemPipeline *p = pipeline_.get();
-    engine_.setSequencerHook([p] { p->processMessages(); });
-}
-
-void
-GpuSystem::downgradeToSerial(const char *why)
-{
-    if (!engine_.parallel())
-        return;
-    warn_once("--sim-threads ", cfg_.sim_threads, " requested but ", why,
-              "; running serial");
-    pipeline_->disableDomains();
-    engine_.deactivateParallel();
-    if (cfg_.watchdog_cycles > 0) {
-        engine_.setWatchdog(cfg_.watchdog_cycles,
-                            [this] { return occupancyDiagnostic(); });
-    }
+    // Every row protects an invariant of the conservative window engine
+    // (docs/PDES.md): events of one module touch only that module's
+    // state, cross-module effects travel as sequencer messages, and
+    // nothing outside the sequencer observes more than one domain.
+    // Anything else runs the serial engine — same results, one thread.
+    if (cfg.num_modules < 2)
+        return "a single module leaves nothing to parallelize";
+    if (cfg.mem_model != MemModel::Staged)
+        return "the chain memory model walks remote phases synchronously "
+               "(need --mem-model staged)";
+    if (cfg.fabric_vcs > 0)
+        return "virtual-channel credits are shared cross-module state "
+               "(need fabric_vcs = 0)";
+    if (cfg.cta_sched != CtaSchedPolicy::DistributedBatch)
+        return "only the distributed CTA scheduler partitions its state "
+               "per module (need --sched distributed)";
+    if (cfg.page_policy == PagePolicy::FirstTouch)
+        return "first-touch page placement mutates the page table on "
+               "access order";
+    if (!cfg.fault.empty())
+        return "fault plans inject global retry/rehoming state";
+    // A one-cycle (or unrouted) fabric gives the window engine no
+    // usable lookahead — every window would degenerate to single-event
+    // serial catch-up.
+    if (fabric.minRouteCycles() <= 1)
+        return "minimum inter-module route latency <= 1 cycle leaves no "
+               "conservative lookahead";
+    // Trace spans and flight-recorder rings are emitted from inside
+    // event execution into one shared sink.
+    if (rec && rec->traceEnabled())
+        return "the event trace records spans into one shared sink";
+    if (rec && rec->flight() != nullptr)
+        return "the flight-recorder ring is single-threaded";
+    return nullptr;
 }
 
 void
@@ -142,7 +129,7 @@ GpuSystem::ctaFinished(SmId sm)
 {
     if (rec_) {
         const ModuleId m = moduleOfSm(sm);
-        rec_->ctaFinished(m, eventQueueFor(m).now());
+        rec_->ctaFinished(m, moduleQueue(m).now());
     }
     if (sink_)
         sink_->onCtaFinished(sm);
@@ -328,24 +315,14 @@ GpuSystem::occupancyDiagnostic() const
 }
 
 void
-GpuSystem::attachRecorder(obs::Recorder &rec)
+GpuSystem::wireRecorder()
 {
-    rec_ = &rec;
-    // Trace spans and flight-recorder rings are emitted from inside
-    // event execution into one shared sink; both are serial-only.
-    if (engine_.parallel() && rec.traceEnabled())
-        downgradeToSerial("the event trace records spans into one "
-                          "shared sink");
-    else if (engine_.parallel() && rec.flight() != nullptr)
-        downgradeToSerial("the flight-recorder ring is single-threaded");
-    pipeline_->setRecorder(&rec);
-
+    obs::Recorder &rec = *rec_;
     // Queue-delay histograms at every bandwidth server. Recording is
     // observational: acquire() results are untouched. Parallel mode
     // gives each DRAM partition a private shard (written only by its
     // home domain) merged into the recorder's at the end of the run.
     if (engine_.parallel()) {
-        dram_queue_shards_.clear();
         for (auto &d : dram_) {
             auto h = std::make_unique<stats::Histogram>(
                 rec.dramQueueDelay());

@@ -42,25 +42,45 @@ class CtaSink
 class GpuSystem : public SmContext
 {
   public:
-    explicit GpuSystem(const GpuConfig &cfg);
+    /**
+     * Build the machine @p cfg describes. The engine mode is decided
+     * here, once: with --sim-threads > 1 and no serialReason() the
+     * engine is split into one domain per module before any component
+     * is built. @p rec, when given, is wired into every probe and
+     * sample hook (see obs::Recorder); it must outlive this system.
+     * Every probe only reads state, so a recorder never changes a
+     * simulated cycle.
+     */
+    explicit GpuSystem(const GpuConfig &cfg, obs::Recorder *rec = nullptr);
+
+    /**
+     * Why @p cfg must run on the serial engine even when --sim-threads
+     * asks for more, or nullptr when the parallel engine may split it
+     * (docs/PDES.md, "Eligibility"). @p fabric is the machine's fabric
+     * (its minimum route latency is the lookahead); @p rec the recorder
+     * the machine will carry, or null.
+     */
+    static const char *serialReason(const GpuConfig &cfg,
+                                    const Fabric &fabric,
+                                    obs::Recorder *rec);
 
     // --- SmContext ---------------------------------------------------------
-    EventQueue &eventQueue() override { return eq_; }
-    EventQueue &eventQueueFor(ModuleId m) override
-    { return engine_.parallel() ? engine_.queue(m) : eq_; }
     void memAccess(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
                    Cycle now, TxnDoneFn done) override;
     void ctaFinished(SmId sm) override;
 
     /**
-     * The simulation engine driving this machine. Serial by default;
-     * when --sim-threads > 1 and the configuration is eligible
-     * (docs/PDES.md) the constructor partitions it into one domain per
-     * module. Runs and time/event queries should go through the engine
-     * so they hold in both modes.
+     * The simulation engine driving this machine: serial, or one domain
+     * per module (see the constructor). Runs and time/event queries go
+     * through the engine so they hold in both modes.
      */
     SimEngine &simEngine() { return engine_; }
     const SimEngine &simEngine() const { return engine_; }
+
+    /** The queue module @p m's components schedule into: its home
+     *  domain's in parallel mode, the one serial queue otherwise. */
+    EventQueue &moduleQueue(ModuleId m)
+    { return engine_.queue(engine_.parallel() ? m : 0); }
 
     /** Events executed across all domains, net of the pipeline's
      *  accounting corrections (inline-ack deliveries the serial engine
@@ -140,18 +160,8 @@ class GpuSystem : public SmContext
     std::string occupancyDiagnostic() const;
 
     // --- Observability ------------------------------------------------------
-    /**
-     * Attach a per-run recorder: wires queue-delay histograms into
-     * every bandwidth server, registers sampler probes (SM occupancy,
-     * per-link bytes, DRAM bandwidth, cache hit rates), arms the
-     * event queue's passive sample hook, and enables link busy-interval
-     * tracking when tracing. Every probe only reads state, so attaching
-     * a recorder never changes a simulated cycle. @p rec must outlive
-     * this system.
-     */
-    void attachRecorder(obs::Recorder &rec);
-
-    /** The attached recorder, or nullptr (the common case). */
+    /** The recorder given at construction, or nullptr (the common
+     *  case). */
     obs::Recorder *recorder() { return rec_; }
 
     /** End-of-run: close sampler windows and harvest link busy spans
@@ -179,15 +189,11 @@ class GpuSystem : public SmContext
     void fabricJson(std::ostream &os, const std::string &workload);
 
   private:
-    /** Try to split the engine into per-module domains (--sim-threads):
-     *  checks every eligibility condition, warns once naming the first
-     *  failed one, and otherwise activates the parallel engine and the
-     *  pipeline's domain mode. */
-    void activateParallelIfEligible();
-
-    /** Downgrade an activated parallel engine back to serial (legal
-     *  only before any event): a serial-only feature was requested. */
-    void downgradeToSerial(const char *why);
+    /** Constructor tail with a recorder: queue-delay histograms at
+     *  every bandwidth server, sampler probes (SM occupancy, per-link
+     *  bytes, DRAM bandwidth, cache hit rates), the engine's passive
+     *  sample hook, and link busy-interval tracking when tracing. */
+    void wireRecorder();
 
     /** Parallel mode: fold the per-domain stat shards and histogram
      *  shards into the primary accumulators before reporting.
@@ -196,7 +202,6 @@ class GpuSystem : public SmContext
 
     GpuConfig cfg_;
     SimEngine engine_;
-    EventQueue &eq_; //!< engine_.queue(0): the serial-mode event queue
     PageTable page_table_;
     std::unique_ptr<Fabric> fabric_;
     EnergyModel energy_;
@@ -218,7 +223,7 @@ class GpuSystem : public SmContext
     uint32_t enabled_sms_ = 0;
 
     CtaSink *sink_ = nullptr;
-    obs::Recorder *rec_ = nullptr; //!< optional per-run recorder
+    obs::Recorder *rec_; //!< optional per-run recorder
 
     /** Parallel mode with a recorder: per-partition DRAM queue-delay
      *  histograms (each written only by the partition's home domain),

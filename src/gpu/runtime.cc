@@ -94,11 +94,10 @@ Runtime::runKernel(const KernelDesc &kernel)
         rec->kernelBegin(kernel.name, engine.now());
 
     // Serial launch cost: driver work + grid setup on the front end.
-    EventQueue &eq = gpu_.eventQueue();
     const Cycle limit = gpu_.config().cycle_limit;
     Cycle start = engine.now() + gpu_.config().kernel_launch_cycles;
     if (start > engine.now())
-        eq.schedule(start, [] {});
+        engine.queue(0).schedule(start, [] {});
     SimEngine::Outcome out = engine.run(limit); // advance to launch point
     if (out == EventQueue::Outcome::Drained) {
         fillAllSms(engine.now());
@@ -162,7 +161,7 @@ Runtime::onCtaFinished(SmId sm)
     // Runs inside the retiring SM's domain: the refill must be stamped
     // with (and scheduled at) that domain's local clock.
     if (active_)
-        refill(sm, gpu_.eventQueueFor(gpu_.moduleOfSm(sm)).now());
+        refill(sm, gpu_.moduleQueue(gpu_.moduleOfSm(sm)).now());
 }
 
 } // namespace mcmgpu

@@ -285,7 +285,8 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
                          const std::vector<std::unique_ptr<Cache>> &l15,
                          const std::vector<std::unique_ptr<Cache>> &l2,
                          const std::vector<std::unique_ptr<DramPartition>>
-                             &dram)
+                             &dram,
+                         obs::Recorder *rec)
     : cfg_(cfg),
       eq_(eq),
       page_table_(pt),
@@ -297,6 +298,7 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
       staged_(cfg.mem_model == MemModel::Staged),
       remote_mshrs_(staged_ ? cfg.remote_mshrs : 0),
       vcs_(staged_ ? cfg.fabric_vcs : 0),
+      rec_(rec),
       stats_("mem"),
       txn_launched_(stats_.add("txn_launched",
                                "memory transactions launched")),
@@ -352,13 +354,6 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
 }
 
 void
-MemPipeline::setRecorder(obs::Recorder *rec)
-{
-    rec_ = rec;
-    buildShardHistograms();
-}
-
-void
 MemPipeline::enableDomains(SimEngine &engine)
 {
     panic_if(!staged_, "domain mode requires the staged memory model");
@@ -372,22 +367,9 @@ MemPipeline::enableDomains(SimEngine &engine)
 }
 
 void
-MemPipeline::disableDomains()
-{
-    if (engine_ == nullptr)
-        return;
-    for (const DomainShard &s : shards_) {
-        panic_if(s.inflight != 0 || s.launched != 0,
-                 "disableDomains after launches");
-    }
-    engine_ = nullptr;
-    shards_.clear();
-}
-
-void
 MemPipeline::buildShardHistograms()
 {
-    if (rec_ == nullptr || shards_.empty() || shards_[0].lat[0])
+    if (rec_ == nullptr)
         return;
     // Clone the recorder's (still empty) recipes so shard merges are
     // bucket-exact.

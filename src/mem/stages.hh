@@ -233,11 +233,14 @@ class DramStage : public MemStage
 class MemPipeline
 {
   public:
+    /** @p rec is the observability sink for load/store latencies and
+     *  (when tracing) per-stage transaction spans; may be null. */
     MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
                 Fabric &fabric, EnergyModel &energy, Domain link_domain,
                 const std::vector<std::unique_ptr<Cache>> &l15,
                 const std::vector<std::unique_ptr<Cache>> &l2,
-                const std::vector<std::unique_ptr<DramPartition>> &dram);
+                const std::vector<std::unique_ptr<DramPartition>> &dram,
+                obs::Recorder *rec);
 
     /**
      * Start one post-L1 access. Under Chain the transaction completes
@@ -249,10 +252,6 @@ class MemPipeline
 
     bool staged() const { return staged_; }
 
-    /** Observability sink for load/store latencies and (when tracing)
-     *  per-stage transaction spans. May be null. */
-    void setRecorder(obs::Recorder *rec);
-
     // --- Per-GPM simulation domains (parallel engine; docs/PDES.md) ------
     /**
      * Partition the pipeline across the engine's per-GPM domains: one
@@ -263,10 +262,6 @@ class MemPipeline
      * requires staged mode with VCs off.
      */
     void enableDomains(SimEngine &engine);
-
-    /** Undo enableDomains (no launches yet): the owner downgraded to
-     *  serial execution after a serial-only feature was attached. */
-    void disableDomains();
 
     bool domainMode() const { return engine_ != nullptr; }
 
@@ -499,7 +494,7 @@ class MemPipeline
     uint32_t vcs_;
     std::vector<MshrState> mshrs_;
 
-    obs::Recorder *rec_ = nullptr;
+    obs::Recorder *rec_;
 
     uint64_t next_id_ = 0;
     uint64_t inflight_ = 0;

@@ -1,6 +1,5 @@
 #include "obs/options.hh"
 
-#include <cstdlib>
 #include <mutex>
 
 namespace mcmgpu {
@@ -22,16 +21,6 @@ optSlot()
     return opt;
 }
 
-/** "1", "true", "yes", "on" (and anything non-empty but "0"/"false"/
- *  "no"/"off") count as enabled. */
-bool
-truthy(const char *v)
-{
-    std::string s(v);
-    return !(s.empty() || s == "0" || s == "false" || s == "no" ||
-             s == "off");
-}
-
 } // namespace
 
 Options
@@ -46,26 +35,6 @@ setOptions(const Options &opt)
 {
     std::lock_guard<std::mutex> lk(optMutex());
     optSlot() = opt;
-}
-
-void
-initFromEnv()
-{
-    std::lock_guard<std::mutex> lk(optMutex());
-    Options &opt = optSlot();
-    if (const char *v = std::getenv("MCMGPU_SAMPLE_PERIOD"))
-        opt.sample_period = std::strtoull(v, nullptr, 10);
-    if (const char *v = std::getenv("MCMGPU_STATS_JSON"))
-        opt.stats_json = truthy(v);
-    if (const char *v = std::getenv("MCMGPU_TRACE_JSON"))
-        opt.trace_json = truthy(v);
-    if (const char *v = std::getenv("MCMGPU_FLIGHT_RECORDER"))
-        opt.flight_recorder =
-            static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    if (const char *v = std::getenv("MCMGPU_OBS_DIR")) {
-        if (*v)
-            opt.out_dir = v;
-    }
 }
 
 } // namespace obs

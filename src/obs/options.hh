@@ -4,11 +4,12 @@
  *
  * Everything here defaults to OFF: a simulation with default Options
  * allocates no recorder, arms no sample hook, and pays at most one
- * null-pointer test per instrumented site. The experiment harness
- * populates the options once from CLI flags (--sample-period,
- * --stats-json, --trace-json, --obs-dir) or the matching MCMGPU_*
- * environment variables, before any simulation starts; simulations
- * snapshot them at construction.
+ * null-pointer test per instrumented site. The shared sweep flags
+ * (--sample-period, --stats-json, --trace-json, --obs-flight-recorder,
+ * --obs-dir; src/sim/cli.hh) populate the options once, the matching
+ * MCMGPU_* environment variables first and the command line over them,
+ * before any simulation starts; simulations snapshot them at
+ * construction.
  */
 
 #ifndef MCMGPU_OBS_OPTIONS_HH
@@ -59,15 +60,6 @@ Options options();
 
 /** Replace the process-wide options (call before starting sweeps). */
 void setOptions(const Options &opt);
-
-/**
- * Overlay MCMGPU_SAMPLE_PERIOD / MCMGPU_STATS_JSON / MCMGPU_TRACE_JSON
- * / MCMGPU_FLIGHT_RECORDER / MCMGPU_OBS_DIR onto the current options.
- * Idempotent; the
- * experiment harness calls this once at startup so env configuration
- * works for embedders that never touch CLI flags.
- */
-void initFromEnv();
 
 } // namespace obs
 } // namespace mcmgpu

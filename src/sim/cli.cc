@@ -207,35 +207,44 @@ sweepFlags()
         typed<unsigned>("--jobs", "<n>", "parallel sweep workers (1 = "
                         "serial, 0 = one per hardware thread; or set "
                         "MCMGPU_JOBS)",
-                        experiment::setJobs),
+                        experiment::setJobs)
+            .fromEnv("MCMGPU_JOBS", "0"), // empty: per hardware thread
         typed<std::string>("--runs-json", "<path>", "write per-job "
                            "telemetry after every sweep (or set "
                            "MCMGPU_RUNS_JSON)",
-                           experiment::setRunsJsonPath),
+                           experiment::setRunsJsonPath)
+            .fromEnv("MCMGPU_RUNS_JSON"),
         typed<std::string>("--cache-dir", "<dir>", "result cache location "
                            "('' disables; or set MCMGPU_CACHE_DIR)",
-                           experiment::setCacheDir),
+                           experiment::setCacheDir)
+            .fromEnv("MCMGPU_CACHE_DIR", ""),
         typed<double>("--job-timeout-s", "<s>", "per-job wall-clock budget; "
                       "a run over it ends 'timeout' and retries with backoff "
                       "(0 disables; or set MCMGPU_JOB_TIMEOUT_S)",
-                      experiment::setJobTimeout),
+                      experiment::setJobTimeout)
+            .fromEnv("MCMGPU_JOB_TIMEOUT_S"),
         obsField("--sample-period", "<cycles>", "sample timelines every N "
                  "cycles into <obs-dir>/*.timeline.json (or set "
                  "MCMGPU_SAMPLE_PERIOD)",
-                 &Options::sample_period),
+                 &Options::sample_period)
+            .fromEnv("MCMGPU_SAMPLE_PERIOD"),
         obsField("--stats-json", "", "dump per-run stats.json (or set "
                  "MCMGPU_STATS_JSON=1)",
-                 &Options::stats_json),
+                 &Options::stats_json)
+            .fromEnv("MCMGPU_STATS_JSON"),
         obsField("--trace-json", "", "emit per-run Chrome trace.json (or "
                  "set MCMGPU_TRACE_JSON=1)",
-                 &Options::trace_json),
+                 &Options::trace_json)
+            .fromEnv("MCMGPU_TRACE_JSON"),
         obsField("--obs-flight-recorder", "<n>", "keep the last N events in "
                  "a ring; failed runs dump them as <obs-dir>/*.flight.json "
                  "(0 disables; or set MCMGPU_FLIGHT_RECORDER)",
-                 &Options::flight_recorder),
+                 &Options::flight_recorder)
+            .fromEnv("MCMGPU_FLIGHT_RECORDER"),
         obsField("--obs-dir", "<dir>", "observability output directory "
                  "(default obs-out; or set MCMGPU_OBS_DIR)",
-                 &Options::out_dir),
+                 &Options::out_dir)
+            .fromEnv("MCMGPU_OBS_DIR"),
     }};
 }
 
@@ -346,6 +355,36 @@ parse(const std::vector<std::string> &args,
 }
 
 void
+applyEnv(const std::vector<FlagTable> &tables)
+{
+    static const std::vector<std::string> kSwitchWords = {
+        "0", "1", "false", "true", "no", "yes", "off", "on"};
+    for (const FlagTable &t : tables) {
+        for (const Flag &f : t.flags) {
+            const char *raw =
+                f.env.empty() ? nullptr : std::getenv(f.env.c_str());
+            if (raw == nullptr)
+                continue;
+            const std::string v = raw;
+            try {
+                if (f.metavar.empty()) {
+                    // Odd indices of kSwitchWords are the "on" words.
+                    if (!v.empty() &&
+                        parseChoice(f.name, v, kSwitchWords) % 2 == 1)
+                        f.apply("");
+                } else if (!v.empty()) {
+                    f.apply(v);
+                } else if (f.env_empty != nullptr) {
+                    f.apply(f.env_empty);
+                }
+            } catch (const UsageError &e) {
+                throw UsageError(f.env + ": " + e.what());
+            }
+        }
+    }
+}
+
+void
 parseArgs(int argc, char **argv, std::vector<FlagTable> tables)
 {
     const std::string prog =
@@ -357,6 +396,7 @@ parseArgs(int argc, char **argv, std::vector<FlagTable> tables)
                              std::exit(0);
                          }}}});
     try {
+        applyEnv(tables);
         parse({argv + std::min(argc, 1), argv + argc}, tables);
     } catch (const UsageError &e) {
         std::cerr << e.what() << '\n';

@@ -9,6 +9,11 @@
  * Machine edits are recorded while parsing and applied afterwards, in
  * command-line order, to every machine the binary selects, so where
  * --machine sits on the command line never changes what runs.
+ *
+ * A flag may name an MCMGPU_* environment variable. parseArgs() applies
+ * every such variable that is set through its flag, before argv, so a
+ * flag on the command line always wins and a malformed variable fails
+ * like a malformed flag.
  */
 
 #ifndef MCMGPU_SIM_CLI_HH
@@ -42,6 +47,19 @@ struct Flag
     std::string metavar;
     std::string help; //!< one paragraph; usage() wraps it
     std::function<void(const std::string &value)> apply;
+    /** The environment variable that presets this flag, or empty. */
+    std::string env = {};
+    /** The value an empty variable stands for; nullptr ignores it. */
+    const char *env_empty = nullptr;
+
+    /** This flag, preset by variable @p var (see applyEnv()). */
+    Flag
+    fromEnv(std::string var, const char *if_empty = nullptr) &&
+    {
+        env = std::move(var);
+        env_empty = if_empty;
+        return std::move(*this);
+    }
 };
 
 /** A titled group of flags; --help prints one section per table. */
@@ -178,8 +196,17 @@ std::string usage(const std::string &prog,
 void parse(const std::vector<std::string> &args,
            const std::vector<FlagTable> &tables);
 
-/** parse() argv[1..] against @p tables plus --help, which prints
- *  usage() and exits 0; a UsageError prints its line and exits 1. */
+/**
+ * Apply the environment variable of every flag in @p tables that has
+ * one and is set, through the flag's apply function. A switch's value
+ * is one of 0|1|false|true|no|yes|off|on (empty is off).
+ * @throws UsageError naming the variable on a malformed value.
+ */
+void applyEnv(const std::vector<FlagTable> &tables);
+
+/** applyEnv(), then parse() argv[1..] against @p tables plus --help,
+ *  which prints usage() and exits 0; a UsageError prints its line and
+ *  exits 1. */
 void parseArgs(int argc, char **argv, std::vector<FlagTable> tables);
 
 } // namespace cli

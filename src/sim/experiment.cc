@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include "exec/job_graph.hh"
 #include "exec/progress.hh"
 #include "exec/result_cache.hh"
-#include "obs/options.hh"
 
 namespace mcmgpu {
 namespace experiment {
@@ -20,7 +18,7 @@ namespace experiment {
 namespace {
 
 /** Bump when the timing model changes to invalidate stale caches. */
-constexpr int kModelVersion = 2;
+constexpr int kModelVersion = 3;
 
 /**
  * Process-wide harness state. One mutex guards all of it: the memo is
@@ -34,28 +32,16 @@ struct HarnessState
     uint64_t memo_hits = 0;
     std::shared_ptr<exec::ResultCache> cache;
     exec::TelemetrySink sink;
-    unsigned jobs_setting; //!< 0 = one per hardware thread
+    unsigned jobs_setting = 1; //!< 0 = one per hardware thread
     std::string runs_json;
     double job_timeout_s = 0.0; //!< per-job wall budget; 0 disables
 
+    // The MCMGPU_* environment reaches these through the sweep flags
+    // (cli::applyEnv), never directly.
     HarnessState()
+        : cache(std::make_shared<exec::ResultCache>(".mcmgpu_cache",
+                                                    kModelVersion))
     {
-        const char *dir = std::getenv("MCMGPU_CACHE_DIR");
-        cache = std::make_shared<exec::ResultCache>(
-            dir ? dir : ".mcmgpu_cache", kModelVersion);
-        const char *jobs_env = std::getenv("MCMGPU_JOBS");
-        jobs_setting = jobs_env ? unsigned(std::strtoul(jobs_env,
-                                                        nullptr, 10))
-                                : 1;
-        const char *runs_env = std::getenv("MCMGPU_RUNS_JSON");
-        runs_json = runs_env ? runs_env : "";
-        const char *timeout_env = std::getenv("MCMGPU_JOB_TIMEOUT_S");
-        if (timeout_env)
-            job_timeout_s = std::strtod(timeout_env, nullptr);
-        // Observability defaults come from MCMGPU_SAMPLE_PERIOD /
-        // MCMGPU_STATS_JSON / MCMGPU_TRACE_JSON / MCMGPU_OBS_DIR; CLI
-        // flags parsed later override them.
-        obs::initFromEnv();
         // Funnel warn()/inform() through the single progress writer so
         // pool-worker diagnostics never interleave mid-line on stderr.
         exec::Progress::instance().installLogSink();
@@ -238,6 +224,12 @@ configKey(const GpuConfig &cfg)
     // so pre-adaptive cache entries stay valid.
     if (cfg.route_policy != RoutePolicy::Static)
         os << "/R" << static_cast<int>(cfg.route_policy);
+    // The parallel engine's cycles may differ from the serial engine's
+    // by its store-ack slip, and are identical for every N >= 2
+    // (docs/PDES.md); the serial engine adds nothing, so its entries
+    // stay valid.
+    if (cfg.sim_threads > 1)
+        os << "/P";
     return os.str();
 }
 

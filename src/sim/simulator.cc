@@ -13,22 +13,21 @@ RunResult
 Simulator::run(const GpuConfig &cfg, const workloads::Workload &workload,
                double wall_timeout_s, FabricRunSummary *fabric)
 {
-    GpuSystem gpu(cfg);
-    Runtime rt(gpu);
-    if (wall_timeout_s > 0.0)
-        gpu.simEngine().setWallDeadline(wall_timeout_s);
-
     // Observability is opt-in and purely passive: with everything off
     // (the default) no recorder exists and the hot paths only test a
     // null pointer. With it on, probes read state between events, so
-    // cycle counts match the unobserved run bit for bit.
+    // cycle counts match the unobserved run bit for bit. The recorder
+    // comes first: the machine decides its engine mode from it.
     const obs::Options obs_opt = obs::options();
     std::unique_ptr<obs::Recorder> rec;
     if (obs_opt.anyEnabled()) {
         rec = std::make_unique<obs::Recorder>(
             obs_opt, cfg.name, workload.abbr, cfg.num_modules);
-        gpu.attachRecorder(*rec);
     }
+    GpuSystem gpu(cfg, rec.get());
+    Runtime rt(gpu);
+    if (wall_timeout_s > 0.0)
+        gpu.simEngine().setWallDeadline(wall_timeout_s);
 
     RunResult r;
     try {

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "obs/options.hh"
 #include "sim/cli.hh"
 #include "sim/experiment.hh"
 
@@ -166,6 +168,50 @@ TEST(Cli, BadInputIsOneLineUsageError)
     EXPECT_EQ(cli::parseWorkloads("--workloads", "NN,,TSP").size(), 2u);
     EXPECT_THROW(cli::parseWorkloads("--workloads", "NN,Nope"),
                  cli::UsageError);
+}
+
+TEST(Cli, EnvironmentGoesThroughTheFlagGrammar)
+{
+    obs::setOptions(obs::Options{});
+    ::setenv("MCMGPU_SAMPLE_PERIOD", "500", 1);
+    ::setenv("MCMGPU_STATS_JSON", "yes", 1);
+    ::setenv("MCMGPU_TRACE_JSON", "off", 1);
+    ::setenv("MCMGPU_OBS_DIR", "", 1); // empty counts as unset
+    cli::applyEnv({cli::sweepFlags()});
+    obs::Options o = obs::options();
+    EXPECT_EQ(o.sample_period, 500u);
+    EXPECT_TRUE(o.stats_json);
+    EXPECT_FALSE(o.trace_json);
+    EXPECT_EQ(o.out_dir, "obs-out");
+
+    // A flag given after the environment wins.
+    ::setenv("MCMGPU_OBS_DIR", "from-env", 1);
+    cli::applyEnv({cli::sweepFlags()});
+    cli::parse({"--obs-dir", "from-flag"}, {cli::sweepFlags()});
+    EXPECT_EQ(obs::options().out_dir, "from-flag");
+
+    // A malformed value names its variable; a switch takes only the
+    // eight on/off words.
+    auto envError = [] {
+        try {
+            cli::applyEnv({cli::sweepFlags()});
+        } catch (const cli::UsageError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    ::setenv("MCMGPU_SAMPLE_PERIOD", "5k", 1);
+    EXPECT_EQ(envError(),
+              "MCMGPU_SAMPLE_PERIOD: invalid value '5k' for --sample-period");
+    ::setenv("MCMGPU_SAMPLE_PERIOD", "0", 1);
+    ::setenv("MCMGPU_STATS_JSON", "maybe", 1);
+    EXPECT_EQ(envError(), "MCMGPU_STATS_JSON: unknown --stats-json 'maybe' "
+                          "(0|1|false|true|no|yes|off|on)");
+
+    for (const char *v : {"MCMGPU_SAMPLE_PERIOD", "MCMGPU_STATS_JSON",
+                          "MCMGPU_TRACE_JSON", "MCMGPU_OBS_DIR"})
+        ::unsetenv(v);
+    obs::setOptions(obs::Options{});
 }
 
 TEST(Cli, UsageListsEveryFlag)

@@ -50,6 +50,12 @@ TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
     b.max_outstanding_per_warp = 2;
     EXPECT_NE(experiment::configKey(a), experiment::configKey(b));
 
+    // The parallel engine has its own cycles, shared by every N >= 2.
+    b = configs::mcmBasic().withSimThreads(2);
+    EXPECT_NE(experiment::configKey(a), experiment::configKey(b));
+    GpuConfig c = configs::mcmBasic().withSimThreads(4);
+    EXPECT_EQ(experiment::configKey(b), experiment::configKey(c));
+
     // The display name must NOT affect the key.
     b = configs::mcmBasic().withName("renamed");
     EXPECT_EQ(experiment::configKey(a), experiment::configKey(b));

@@ -8,11 +8,11 @@
  * --sim-threads 2, 3, and 4 produce byte-identical stats.json and
  * fabric.json documents and identical headline metrics, with
  * observability on or off. The satellites: --sim-threads 1 is the
- * serial engine itself, ineligible configurations fall back to serial
- * with a warning, a degenerate (<= 1 cycle) lookahead falls back,
- * serial-only observability attachments downgrade an already-parallel
- * system, and a run cut by its cycle limit freezes the same machine for
- * every worker count.
+ * serial engine itself, every ineligible configuration falls back to
+ * serial with a warning naming its row, a degenerate (<= 1 cycle)
+ * lookahead falls back, a machine built with a serial-only recorder
+ * runs serial from the start, and a run cut by its cycle limit freezes
+ * the same machine for every worker count.
  */
 
 #include <gtest/gtest.h>
@@ -309,33 +309,84 @@ TEST_F(PdesTest, OneThreadIsTheSerialEngine)
 
 TEST_F(PdesTest, IneligibleConfigsFallBackToSerial)
 {
-    // Chain memory model: transactions walk cross-module state inside
-    // one continuation chain, which cannot shard.
-    GpuConfig chain = pdesConfig(4);
-    chain.withMemModel(MemModel::Chain, 0);
-    EXPECT_FALSE(GpuSystem(chain).simEngine().parallel());
-
-    // Virtual-channel credit flow control: credit pools are shared
-    // hot-path state between source and home domains.
-    GpuConfig vc = pdesConfig(4);
-    vc.withFabricVcs(2, 64);
-    EXPECT_FALSE(GpuSystem(vc).simEngine().parallel());
+    // Every row of GpuSystem::serialReason(): the machine runs serial,
+    // and the reason names that row, not an earlier one.
+    auto serialRow = [](const GpuConfig &cfg, obs::Recorder *rec,
+                        const std::string &row) {
+        SCOPED_TRACE(row);
+        GpuSystem gpu(cfg, rec);
+        EXPECT_FALSE(gpu.simEngine().parallel());
+        const char *why = GpuSystem::serialReason(cfg, gpu.fabric(), rec);
+        ASSERT_NE(why, nullptr);
+        EXPECT_NE(std::string(why).find(row), std::string::npos) << why;
+    };
 
     // Single module: nothing to partition.
     GpuConfig mono = configs::monolithic(32);
     mono.withMemModel(MemModel::Staged, 0);
     mono.cta_sched = CtaSchedPolicy::DistributedBatch;
     mono.withSimThreads(4);
-    EXPECT_FALSE(GpuSystem(mono).simEngine().parallel());
+    serialRow(mono, nullptr, "a single module");
+
+    // Chain memory model: transactions walk cross-module state inside
+    // one continuation chain, which cannot shard.
+    GpuConfig chain = pdesConfig(4);
+    chain.withMemModel(MemModel::Chain, 0);
+    serialRow(chain, nullptr, "the chain memory model");
+
+    // Virtual-channel credit flow control: credit pools are shared
+    // hot-path state between source and home domains.
+    GpuConfig vc = pdesConfig(4);
+    vc.withFabricVcs(2, 64);
+    serialRow(vc, nullptr, "virtual-channel credits");
+
+    // Centralized CTA scheduling: one global queue hands out CTAs.
+    GpuConfig central = pdesConfig(4);
+    central.cta_sched = CtaSchedPolicy::CentralizedRR;
+    serialRow(central, nullptr, "only the distributed CTA scheduler");
 
     // First-touch page placement: the page table is written from SM
     // contexts on every first access to a page.
     GpuConfig ft = pdesConfig(4);
     ft.page_policy = PagePolicy::FirstTouch;
-    EXPECT_FALSE(GpuSystem(ft).simEngine().parallel());
+    serialRow(ft, nullptr, "first-touch page placement");
 
-    // And the eligible configuration really does go parallel.
-    EXPECT_TRUE(GpuSystem(pdesConfig(4)).simEngine().parallel());
+    // Fault plans: retries and rehoming are global state.
+    GpuConfig faulty = pdesConfig(4);
+    faulty.fault.sweepSmsEveryModule(faulty.num_modules, 1);
+    serialRow(faulty, nullptr, "fault plans");
+
+    // A 1-cycle hop leaves no lookahead.
+    GpuConfig tight = pdesConfig(4);
+    tight.link_hop_cycles = 1;
+    serialRow(tight, nullptr, "route latency <= 1 cycle");
+
+    // The event trace and the flight recorder observe one global event
+    // stream.
+    const GpuConfig cfg = pdesConfig(4);
+    TempDir dir("rows");
+    obs::Options traced;
+    traced.trace_json = true;
+    traced.out_dir = dir.str();
+    obs::Recorder trace_rec(traced, cfg.name, "PdesX", cfg.num_modules);
+    serialRow(cfg, &trace_rec, "the event trace");
+    obs::Options flight;
+    flight.flight_recorder = 64;
+    flight.out_dir = dir.str();
+    obs::Recorder flight_rec(flight, cfg.name, "PdesX", cfg.num_modules);
+    serialRow(cfg, &flight_rec, "the flight-recorder ring");
+
+    // And the eligible configuration really does go parallel, with a
+    // stats-only recorder too.
+    EXPECT_TRUE(GpuSystem(cfg).simEngine().parallel());
+    obs::Options stats;
+    stats.stats_json = true;
+    stats.out_dir = dir.str();
+    obs::Recorder stats_rec(stats, cfg.name, "PdesX", cfg.num_modules);
+    GpuSystem observed(cfg, &stats_rec);
+    EXPECT_TRUE(observed.simEngine().parallel());
+    EXPECT_EQ(GpuSystem::serialReason(cfg, observed.fabric(), &stats_rec),
+              nullptr);
 }
 
 TEST_F(PdesTest, DegenerateLookaheadFallsBackToSerial)
@@ -356,21 +407,19 @@ TEST_F(PdesTest, DegenerateLookaheadFallsBackToSerial)
 
 TEST_F(PdesTest, SerialOnlyAttachmentsDowngradeToSerial)
 {
-    // The event trace records spans into one shared sink; attaching it
-    // to a parallel system downgrades the engine before any event runs.
+    // The event trace records spans into one shared sink; a machine
+    // built with it runs the serial engine from the start.
     const GpuConfig cfg = pdesConfig(4);
     TempDir dir("trace");
     obs::Options opt;
     opt.trace_json = true;
     opt.out_dir = dir.str();
 
-    GpuSystem gpu(cfg);
-    EXPECT_TRUE(gpu.simEngine().parallel());
+    EXPECT_TRUE(GpuSystem(cfg).simEngine().parallel());
     obs::Recorder rec(opt, cfg.name, "PdesX", cfg.num_modules);
-    gpu.attachRecorder(rec);
-    EXPECT_FALSE(gpu.simEngine().parallel());
+    EXPECT_FALSE(GpuSystem(cfg, &rec).simEngine().parallel());
 
-    // End-to-end: the downgraded run is the serial run, bit for bit.
+    // End-to-end: the traced run is the serial run, bit for bit.
     obs::setOptions(opt);
     const Workload w = crossTrafficWorkload();
     const RunResult traced = Simulator::run(cfg, w);

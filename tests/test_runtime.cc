@@ -87,7 +87,7 @@ TEST(Runtime, RunsKernelToCompletion)
     Runtime rt(gpu);
     rt.runKernel(tinyKernel());
     EXPECT_EQ(rt.kernelsExecuted(), 1u);
-    EXPECT_GT(gpu.eventQueue().now(), 0u);
+    EXPECT_GT(gpu.simEngine().now(), 0u);
     for (SmId s = 0; s < gpu.numSms(); ++s)
         EXPECT_TRUE(gpu.sm(s).idle()) << "sm " << s;
 }
@@ -140,9 +140,9 @@ TEST(Runtime, TimeAdvancesMonotonicallyAcrossKernels)
     GpuSystem gpu(configs::mcmBasic());
     Runtime rt(gpu);
     rt.runKernel(tinyKernel());
-    Cycle after_first = gpu.eventQueue().now();
+    Cycle after_first = gpu.simEngine().now();
     rt.runKernel(tinyKernel());
-    EXPECT_GT(gpu.eventQueue().now(), after_first);
+    EXPECT_GT(gpu.simEngine().now(), after_first);
 }
 
 TEST(Runtime, RejectsImpossibleKernels)

@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the window-barrier engine's delivery contract
- * (docs/PDES.md): events the sequencer hook hands to
- * SimEngine::deliver() enter the target domain's queue exactly as
- * immediate EventQueue::scheduleDelivered calls at the barrier would
- * have, for every worker count, and a run cut by its cycle limit
- * leaves undelivered events pending in the queues.
+ * Tests for the window-barrier engine (docs/PDES.md). The delivery
+ * contract: events the sequencer hook hands to SimEngine::deliver()
+ * enter the target domain's queue exactly as immediate
+ * EventQueue::scheduleDelivered calls at the barrier would have, for
+ * every worker count, and a run cut by its cycle limit leaves
+ * undelivered events pending in the queues. The guard: the barrier
+ * loop evaluates the serial loop's watchdog and wall deadline over the
+ * engine's totals.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/log.hh"
 #include "common/sim_domain.hh"
 
 namespace mcmgpu {
@@ -137,6 +141,73 @@ TEST(SimEngine, LimitHitLeavesDeliveriesPending)
         EXPECT_EQ(ran, 2);
         EXPECT_EQ(engine.pending(), 0u);
         EXPECT_EQ(engine.now(), 60u);
+    }
+}
+
+TEST(SimEngine, WatchdogMeasuresFromTheLastEventThatRan)
+{
+    // The first event lies a whole watchdog window past time 0, like a
+    // kernel's launch delay. Nothing ran before it, so nothing stalled:
+    // the watchdog measures from the last event that ran, as the serial
+    // loop does, not from the event about to run.
+    for (uint32_t threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SimEngine engine;
+        engine.activateParallel(2, threads, kLookahead);
+        engine.setWatchdog(40, nullptr);
+        EventQueue &q = engine.queue(1);
+        q.schedule(300, [&q] { q.noteProgress(); });
+        EXPECT_EQ(engine.run(), SimEngine::Outcome::Drained);
+        EXPECT_EQ(engine.now(), 300u);
+        EXPECT_EQ(engine.progressMarks(), 1u);
+    }
+}
+
+TEST(SimEngine, StallReportsEngineTotals)
+{
+    // An advancing-time livelock on domain 1: events keep firing, one
+    // per cycle, and none notes progress. Queue 0 runs nothing, so a
+    // diagnostic built from its own counters would report zeros.
+    setQuietLogging(true);
+    for (uint32_t threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SimEngine engine;
+        engine.activateParallel(2, threads, kLookahead);
+        engine.setWatchdog(40, [] { return std::string("machine dump\n"); });
+        EventQueue &q = engine.queue(1);
+        std::function<void()> spin = [&] {
+            q.schedule(q.now() + 1, spin);
+        };
+        q.schedule(1, spin);
+        try {
+            engine.run();
+            FAIL() << "the livelock must stall";
+        } catch (const SimStall &stall) {
+            EXPECT_GT(engine.executed(), 40u);
+            const std::string totals =
+                "  now " + std::to_string(engine.now()) + ", queue depth " +
+                std::to_string(engine.pending()) + ", events executed " +
+                std::to_string(engine.executed()) + ", progress marks 0\n";
+            EXPECT_NE(stall.diagnostic().find(totals), std::string::npos)
+                << stall.diagnostic();
+            EXPECT_NE(stall.diagnostic().find("machine dump"),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(SimEngine, ExpiredWallDeadlineRaisesSimTimeout)
+{
+    for (uint32_t threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SimEngine engine;
+        engine.activateParallel(2, threads, kLookahead);
+        engine.setWallDeadline(1e-9); // already expired at the first check
+        int ran = 0;
+        engine.queue(1).schedule(5, [&ran] { ++ran; });
+        EXPECT_THROW(engine.run(), SimTimeout);
+        EXPECT_EQ(ran, 0);
+        EXPECT_EQ(engine.pending(), 1u);
     }
 }
 

@@ -68,8 +68,6 @@ storeOp(Addr addr, uint32_t bytes = 128)
 class MockContext : public SmContext
 {
   public:
-    EventQueue &eventQueue() override { return eq; }
-
     void
     memAccess(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
               Cycle now, TxnDoneFn done) override
@@ -127,7 +125,7 @@ cfg()
 TEST(Sm, ComputeOnlyWarpTakesItsCycles)
 {
     MockContext ctx;
-    Sm sm(0, 0, cfg(), ctx);
+    Sm sm(0, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({computeOp(10), computeOp(10)}), 0, 0);
     ctx.eq.run();
     EXPECT_EQ(ctx.eq.now(), 20u);
@@ -139,7 +137,7 @@ TEST(Sm, ComputeOnlyWarpTakesItsCycles)
 TEST(Sm, IssuePipelineSerializesWarps)
 {
     MockContext ctx;
-    Sm sm(1, 0, cfg(), ctx);
+    Sm sm(1, 0, cfg(), ctx, ctx.eq);
     // 4 warps, each 10 cycles of compute: one shared issue pipeline
     // means ~40 cycles total.
     sm.launchCta(kernelOf({computeOp(10)}, 1, 4), 0, 0);
@@ -150,7 +148,7 @@ TEST(Sm, IssuePipelineSerializesWarps)
 TEST(Sm, L1MissGoesToMemoryOnceAndFills)
 {
     MockContext ctx;
-    Sm sm(2, 0, cfg(), ctx);
+    Sm sm(2, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({loadOp(0x1000), computeOp(1), loadOp(0x1000)}),
                  0, 0);
     ctx.eq.run();
@@ -163,7 +161,7 @@ TEST(Sm, L1MissGoesToMemoryOnceAndFills)
 TEST(Sm, MemoryLatencyOverlapsAcrossWarps)
 {
     MockContext ctx;
-    Sm sm(3, 0, cfg(), ctx);
+    Sm sm(3, 0, cfg(), ctx, ctx.eq);
     // Two warps each load a distinct line: latencies overlap, so the
     // total is ~one latency, not two.
     KernelDesc k;
@@ -185,7 +183,7 @@ TEST(Sm, ScoreboardAllowsRunAheadLoads)
     GpuConfig c = cfg();
     c.max_outstanding_per_warp = 4;
     MockContext ctx;
-    Sm sm(4, 0, c, ctx);
+    Sm sm(4, 0, c, ctx, ctx.eq);
     // 4 independent loads from ONE warp: with MLP 4 they overlap and
     // finish in ~latency + issue, not 4x latency.
     sm.launchCta(kernelOf({loadOp(0x0), loadOp(0x2000), loadOp(0x4000),
@@ -200,7 +198,7 @@ TEST(Sm, ScoreboardDepthOneSerializesLoads)
     GpuConfig c = cfg();
     c.max_outstanding_per_warp = 1;
     MockContext ctx;
-    Sm sm(5, 0, c, ctx);
+    Sm sm(5, 0, c, ctx, ctx.eq);
     sm.launchCta(kernelOf({loadOp(0x0), loadOp(0x2000), loadOp(0x4000)}),
                  0, 0);
     ctx.eq.run();
@@ -211,7 +209,7 @@ TEST(Sm, ScoreboardDepthOneSerializesLoads)
 TEST(Sm, StoresAreWriteThroughNoAllocate)
 {
     MockContext ctx;
-    Sm sm(6, 0, cfg(), ctx);
+    Sm sm(6, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({storeOp(0x1000, 64), loadOp(0x1000)}), 0, 0);
     ctx.eq.run();
     ASSERT_EQ(ctx.accesses.size(), 2u)
@@ -225,7 +223,7 @@ TEST(Sm, RetirementWaitsForOutstandingMemory)
 {
     MockContext ctx;
     ctx.load_latency = 500;
-    Sm sm(7, 0, cfg(), ctx);
+    Sm sm(7, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({loadOp(0x0)}), 0, 0);
     ctx.eq.run();
     EXPECT_GE(ctx.eq.now(), 500u)
@@ -239,7 +237,7 @@ TEST(Sm, CanAcceptRespectsWarpAndCtaLimits)
     c.max_warps_per_sm = 8;
     c.max_ctas_per_sm = 4;
     MockContext ctx;
-    Sm sm(8, 0, c, ctx);
+    Sm sm(8, 0, c, ctx, ctx.eq);
 
     KernelDesc fat = kernelOf({computeOp(1000)}, 4, 4); // 4 warps/CTA
     EXPECT_TRUE(sm.canAccept(fat));
@@ -260,7 +258,7 @@ TEST(Sm, LaunchWithoutSlotPanics)
     GpuConfig c = cfg();
     c.max_ctas_per_sm = 1;
     MockContext ctx;
-    Sm sm(9, 0, c, ctx);
+    Sm sm(9, 0, c, ctx, ctx.eq);
     KernelDesc k = kernelOf({computeOp(5)});
     sm.launchCta(k, 0, 0);
     EXPECT_ANY_THROW(sm.launchCta(k, 1, 0));
@@ -269,7 +267,7 @@ TEST(Sm, LaunchWithoutSlotPanics)
 TEST(Sm, FlushL1ForcesRefetch)
 {
     MockContext ctx;
-    Sm sm(10, 0, cfg(), ctx);
+    Sm sm(10, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({loadOp(0x5000)}), 0, 0);
     ctx.eq.run();
     sm.flushL1();
@@ -281,7 +279,7 @@ TEST(Sm, FlushL1ForcesRefetch)
 TEST(Sm, ModulePropagatedToMemAccess)
 {
     MockContext ctx;
-    Sm sm(130, 2, cfg(), ctx); // SM 130 on module 2
+    Sm sm(130, 2, cfg(), ctx, ctx.eq); // SM 130 on module 2
     sm.launchCta(kernelOf({loadOp(0xF000)}), 0, 0);
     ctx.eq.run();
     ASSERT_EQ(ctx.accesses.size(), 1u);
@@ -291,7 +289,7 @@ TEST(Sm, ModulePropagatedToMemAccess)
 TEST(Sm, EmptyTraceRetiresImmediately)
 {
     MockContext ctx;
-    Sm sm(11, 0, cfg(), ctx);
+    Sm sm(11, 0, cfg(), ctx, ctx.eq);
     sm.launchCta(kernelOf({}), 0, 5);
     ctx.eq.run();
     EXPECT_EQ(ctx.eq.now(), 5u);
@@ -307,7 +305,7 @@ TEST_P(SmIssueWidthSweep, ThroughputScalesWithWidth)
     GpuConfig c = cfg();
     c.sm_issue_width = GetParam();
     MockContext ctx;
-    Sm sm(12, 0, c, ctx);
+    Sm sm(12, 0, c, ctx, ctx.eq);
     sm.launchCta(kernelOf({computeOp(64), computeOp(64)}, 1, 4), 0, 0);
     ctx.eq.run();
     // 4 warps x 2 ops x 64 cycles / width.
