@@ -229,8 +229,39 @@ schemaIssue(const std::string &name, const std::string &text)
         }
         return "";
     }
-    if (ends_with(".stats.json"))
-        return require_marker("mcmgpu-stats/1");
+    if (ends_with(".stats.json")) {
+        std::string bad = require_marker("mcmgpu-stats/1");
+        if (!bad.empty())
+            return bad;
+        // A run with a "mem" group (staged model) lands every completed
+        // transaction in exactly one load/store latency histogram.
+        if (text.find("\"mem\": {") == std::string::npos)
+            return "";
+        auto number_after = [&](const std::string &needle, size_t from) {
+            const size_t pos = text.find(needle, from);
+            return pos == std::string::npos
+                       ? -1.0
+                       : std::strtod(text.c_str() + pos + needle.size(),
+                                     nullptr);
+        };
+        double samples = 0.0;
+        for (const char *h : {"load_latency_local", "load_latency_remote",
+                              "store_latency_local",
+                              "store_latency_remote"}) {
+            const size_t at =
+                text.find(std::string("{\"name\": \"") + h + "\"");
+            if (at == std::string::npos)
+                return std::string("mem group without histogram ") + h;
+            samples += number_after("\"count\": ", at);
+        }
+        const double completed = number_after("\"txn_completed\": ", 0);
+        if (samples != completed)
+            return "latency histogram counts " +
+                   std::to_string(static_cast<long long>(samples)) +
+                   " != mem.txn_completed " +
+                   std::to_string(static_cast<long long>(completed));
+        return "";
+    }
     return "";
 }
 

@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/log.hh"
@@ -19,6 +20,13 @@ joinIssues(const std::vector<ConfigIssue> &issues)
     for (const ConfigIssue &i : issues)
         os << "\n  - " << i.message;
     return os.str();
+}
+
+/** A bandwidth must be positive and finite; NaN compares false. */
+bool
+finitePositive(double gbps)
+{
+    return gbps > 0.0 && std::isfinite(gbps);
 }
 
 } // namespace
@@ -66,9 +74,10 @@ GpuConfig::check() const
     if (interleave_bytes < l2.line_bytes)
         flag(ConfigErrc::InterleaveBelowLine,
              "interleave granularity below line size");
-    if (dram_total_gbps <= 0.0)
+    // Every rate test is written so that NaN and infinity fail it.
+    if (!finitePositive(dram_total_gbps))
         flag(ConfigErrc::NoDramBandwidth, "DRAM bandwidth must be positive");
-    if (num_modules > 1 && link_gbps <= 0.0)
+    if (num_modules > 1 && !finitePositive(link_gbps))
         flag(ConfigErrc::NoLinkBandwidth,
              "inter-module links need bandwidth");
     if (l15_alloc != L15Alloc::Off && l15_total_bytes == 0)
@@ -97,7 +106,8 @@ GpuConfig::check() const
     if (!topo::parseTopology(topology, desc, perr)) {
         flag(ConfigErrc::TopoBadSpec, "topology '", topology, "': ", perr);
     } else if (num_modules > 1) {
-        if (desc.kind == topo::TopoKind::Package && pkg_link_gbps <= 0.0) {
+        if (desc.kind == topo::TopoKind::Package &&
+            !finitePositive(pkg_link_gbps)) {
             flag(ConfigErrc::NoLinkBandwidth,
                  "inter-package links need bandwidth");
         }
@@ -140,10 +150,10 @@ GpuConfig::check() const
         if (f.module != FaultPlan::kAllModules && f.module >= num_modules)
             flag(ConfigErrc::FaultBadModule, "fault plan derates link of "
                  "module ", f.module, " but machine has ", num_modules);
-        if (f.bw_derate <= 0.0 || f.bw_derate > 1.0)
+        if (!(f.bw_derate > 0.0 && f.bw_derate <= 1.0))
             flag(ConfigErrc::FaultBadLinkDerate, "link derate ",
                  f.bw_derate, " outside (0, 1]");
-        if (f.error_rate < 0.0 || f.error_rate > 1.0)
+        if (!(f.error_rate >= 0.0 && f.error_rate <= 1.0))
             flag(ConfigErrc::FaultBadLinkErrorRate, "link error rate ",
                  f.error_rate, " outside [0, 1]");
     }

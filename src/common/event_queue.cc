@@ -350,14 +350,19 @@ EventQueue::addWaitReporter(std::function<void(WaitGraph &)> reporter)
 void
 EventQueue::setWallDeadline(double seconds)
 {
-    deadline_armed_ = seconds > 0.0;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> budget(seconds);
+    // Arm only a budget the clock can represent from now: a longer one
+    // (about 292 years of nanoseconds, or infinity) never fires, and
+    // casting it would wrap to a deadline in the past. The first bound
+    // keeps the cast in range.
+    deadline_armed_ = seconds > 0.0 && budget < Clock::duration::max() &&
+                      std::chrono::duration_cast<Clock::duration>(budget) <
+                          Clock::time_point::max() - now;
     wall_timeout_s_ = deadline_armed_ ? seconds : 0.0;
-    if (deadline_armed_) {
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
-    }
+    if (deadline_armed_)
+        deadline_ = now + std::chrono::duration_cast<Clock::duration>(budget);
 }
 
 void

@@ -310,7 +310,8 @@ class EventQueue
      * have elapsed from this call. Checked every 4096 executed events,
      * so the overhead with a deadline armed is one flag test per event
      * (the parallel engine checks at every barrier). @p seconds <= 0
-     * disarms.
+     * disarms; a budget past the clock's range from now (about 292
+     * years, or infinity) never fires.
      */
     void setWallDeadline(double seconds);
 

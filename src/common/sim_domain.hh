@@ -107,6 +107,10 @@ class SimEngine
     { return static_cast<uint32_t>(domains_.size()); }
     Cycle lookahead() const { return lookahead_; }
 
+    /** The domain module @p m's state lives in: @p m in parallel mode
+     *  (one domain per module), 0 on the serial engine. */
+    uint32_t domainOf(uint32_t m) const { return parallel() ? m : 0; }
+
     SimDomain &domain(uint32_t d) { return *domains_[d]; }
     EventQueue &queue(uint32_t d) { return domains_[d]->queue(); }
     const EventQueue &queue(uint32_t d) const

@@ -66,15 +66,10 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, obs::Recorder *rec)
             cfg_.dram_turnaround_cycles, cfg_.dram_write_drain));
     }
 
-    pipeline_ = std::make_unique<MemPipeline>(cfg_, engine_.queue(0),
-                                              page_table_, *fabric_,
-                                              energy_, link_domain_, l15_,
-                                              l2_, dram_, rec_);
-    if (engine_.parallel()) {
-        pipeline_->enableDomains(engine_);
-        MemPipeline *p = pipeline_.get();
-        engine_.setSequencerHook([p] { p->processMessages(); });
-    }
+    pipeline_ = std::make_unique<MemPipeline>(cfg_, engine_, page_table_,
+                                              *fabric_, energy_,
+                                              link_domain_, l15_, l2_, dram_,
+                                              rec_);
 
     if (cfg_.watchdog_cycles > 0) {
         engine_.setWatchdog(cfg_.watchdog_cycles,
@@ -202,24 +197,21 @@ aggregateHitRate(double hits, double misses)
 } // namespace
 
 void
-GpuSystem::mergeParallelStats()
+GpuSystem::foldStats()
 {
-    if (!engine_.parallel())
-        return;
-    pipeline_->mergeShards();
-    if (rec_ && !dram_shards_merged_ && !dram_queue_shards_.empty()) {
-        for (const auto &h : dram_queue_shards_)
-            rec_->dramQueueDelay().merge(*h);
-        dram_shards_merged_ = true;
+    pipeline_->foldShards();
+    for (const auto &h : dram_queue_shards_) {
+        rec_->dramQueueDelay().merge(*h);
+        h->reset();
     }
 }
 
 void
 GpuSystem::dumpStats(std::ostream &os, bool per_sm) const
 {
-    // Reporting is logically const; parallel mode lazily folds the
-    // per-domain shards into the primary accumulators first.
-    const_cast<GpuSystem *>(this)->mergeParallelStats();
+    // Reporting is logically const; it folds the per-domain shards into
+    // the primary accumulators first.
+    const_cast<GpuSystem *>(this)->foldStats();
     os << "system.cycles " << engine_.now() << '\n';
     os << "system.warp_insts " << totalWarpInstructions() << '\n';
     os << "system.events " << eventsExecuted() << '\n';
@@ -319,20 +311,14 @@ GpuSystem::wireRecorder()
 {
     obs::Recorder &rec = *rec_;
     // Queue-delay histograms at every bandwidth server. Recording is
-    // observational: acquire() results are untouched. Parallel mode
-    // gives each DRAM partition a private shard (written only by its
-    // home domain) merged into the recorder's at the end of the run.
-    if (engine_.parallel()) {
-        for (auto &d : dram_) {
-            auto h = std::make_unique<stats::Histogram>(
-                rec.dramQueueDelay());
-            h->reset();
-            d->attachQueueHistogram(h.get());
-            dram_queue_shards_.push_back(std::move(h));
-        }
-    } else {
-        for (auto &d : dram_)
-            d->attachQueueHistogram(&rec.dramQueueDelay());
+    // observational: acquire() results are untouched. Each DRAM
+    // partition records into a private shard (written only by its home
+    // domain), folded into the recorder's at every read.
+    for (auto &d : dram_) {
+        auto h = std::make_unique<stats::Histogram>(rec.dramQueueDelay());
+        h->reset();
+        d->attachQueueHistogram(h.get());
+        dram_queue_shards_.push_back(std::move(h));
     }
     fabric_->visitLinks([&rec](const std::string &, Link &l) {
         l.setQueueHistogram(&rec.linkQueueDelay());
@@ -481,7 +467,7 @@ GpuSystem::finishObservability()
 {
     if (!rec_)
         return;
-    mergeParallelStats();
+    foldStats();
     rec_->finalize(engine_.now());
     if (rec_->traceEnabled()) {
         fabric_->visitLinks([this](const std::string &name, Link &l) {
@@ -493,7 +479,7 @@ GpuSystem::finishObservability()
 void
 GpuSystem::statsJson(std::ostream &os, const std::string &workload) const
 {
-    const_cast<GpuSystem *>(this)->mergeParallelStats();
+    const_cast<GpuSystem *>(this)->foldStats();
     os << "{\n"
        << "  \"schema\": \"mcmgpu-stats/1\",\n"
        << "  \"config\": " << json::quoted(cfg_.name) << ",\n"
@@ -573,7 +559,7 @@ GpuSystem::statsJson(std::ostream &os, const std::string &workload) const
 void
 GpuSystem::fabricJson(std::ostream &os, const std::string &workload)
 {
-    mergeParallelStats();
+    foldStats();
     const Cycle cycles = engine_.now();
 
     os << "{\n"

@@ -80,7 +80,7 @@ class GpuSystem : public SmContext
     /** The queue module @p m's components schedule into: its home
      *  domain's in parallel mode, the one serial queue otherwise. */
     EventQueue &moduleQueue(ModuleId m)
-    { return engine_.queue(engine_.parallel() ? m : 0); }
+    { return engine_.queue(engine_.domainOf(m)); }
 
     /** Events executed across all domains, net of the pipeline's
      *  accounting corrections (inline-ack deliveries the serial engine
@@ -195,10 +195,9 @@ class GpuSystem : public SmContext
      *  sample hook, and link busy-interval tracking when tracing. */
     void wireRecorder();
 
-    /** Parallel mode: fold the per-domain stat shards and histogram
-     *  shards into the primary accumulators before reporting.
-     *  Idempotent, no-op in serial mode. */
-    void mergeParallelStats();
+    /** Fold the pipeline's shards and the DRAM queue-delay shards into
+     *  the primary accumulators; every report calls it first. */
+    void foldStats();
 
     GpuConfig cfg_;
     SimEngine engine_;
@@ -225,11 +224,10 @@ class GpuSystem : public SmContext
     CtaSink *sink_ = nullptr;
     obs::Recorder *rec_; //!< optional per-run recorder
 
-    /** Parallel mode with a recorder: per-partition DRAM queue-delay
-     *  histograms (each written only by the partition's home domain),
-     *  merged into the recorder's at mergeParallelStats(). */
+    /** With a recorder: per-partition DRAM queue-delay histograms (each
+     *  written only by the partition's home domain), folded into the
+     *  recorder's at foldStats(). */
     std::vector<std::unique_ptr<stats::Histogram>> dram_queue_shards_;
-    bool dram_shards_merged_ = false;
 };
 
 } // namespace mcmgpu

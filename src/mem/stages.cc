@@ -279,8 +279,25 @@ DramStage::service(MemTxn &txn)
 
 // ------------------------------------------------------------ MemPipeline
 
-MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
-                         Fabric &fabric, EnergyModel &energy,
+namespace {
+
+/** The recorder histogram latency shard @p i folds into: local load,
+ *  remote load, local store, remote store (finishCommon's index). */
+stats::Histogram &
+recorderLatency(obs::Recorder &rec, size_t i)
+{
+    switch (i) {
+      case 0: return rec.localLoadLatency();
+      case 1: return rec.remoteLoadLatency();
+      case 2: return rec.localStoreLatency();
+      default: return rec.remoteStoreLatency();
+    }
+}
+
+} // namespace
+
+MemPipeline::MemPipeline(const GpuConfig &cfg, SimEngine &engine,
+                         PageTable &pt, Fabric &fabric, EnergyModel &energy,
                          Domain link_domain,
                          const std::vector<std::unique_ptr<Cache>> &l15,
                          const std::vector<std::unique_ptr<Cache>> &l2,
@@ -288,7 +305,7 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
                              &dram,
                          obs::Recorder *rec)
     : cfg_(cfg),
-      eq_(eq),
+      engine_(engine),
       page_table_(pt),
       l15_stage_(cfg, l15),
       fabric_stage_(fabric, energy, link_domain),
@@ -349,63 +366,54 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
     }
     if (staged_ && (vcs_ > 0 || remote_mshrs_ > 0)) {
         // Cold path only: reporters run when a stall is being declared.
-        eq_.addWaitReporter([this](WaitGraph &wg) { reportWaits(wg); });
+        engine_.queue(0).addWaitReporter(
+            [this](WaitGraph &wg) { reportWaits(wg); });
+    }
+
+    shards_.resize(engine_.numDomains());
+    if (rec_ != nullptr) {
+        // Clone the recorder's (still empty) recipes so folds are
+        // bucket-exact.
+        for (DomainShard &s : shards_) {
+            for (size_t i = 0; i < 4; ++i) {
+                s.lat[i] = std::make_unique<stats::Histogram>(
+                    recorderLatency(*rec_, i));
+                s.lat[i]->reset();
+            }
+        }
+    }
+    if (engine_.parallel()) {
+        panic_if(!staged_ || vcs_ > 0 ||
+                     engine_.numDomains() != cfg_.num_modules,
+                 "the parallel engine needs the staged model without VCs "
+                 "and one domain per module");
+        engine_.setSequencerHook([this] { processMessages(); });
     }
 }
 
-void
-MemPipeline::enableDomains(SimEngine &engine)
+EventQueue &
+MemPipeline::queueOf(ModuleId m)
 {
-    panic_if(!staged_, "domain mode requires the staged memory model");
-    panic_if(vcs_ > 0, "domain mode requires fabric_vcs == 0");
-    panic_if(!engine.parallel(), "enableDomains on a serial engine");
-    panic_if(engine.numDomains() != cfg_.num_modules,
-             "domain mode needs one domain per module");
-    engine_ = &engine;
-    shards_.resize(cfg_.num_modules);
-    buildShardHistograms();
+    return engine_.queue(engine_.domainOf(m));
 }
 
-void
-MemPipeline::buildShardHistograms()
+MemPipeline::DomainShard &
+MemPipeline::shardOf(ModuleId m)
 {
-    if (rec_ == nullptr)
-        return;
-    // Clone the recorder's (still empty) recipes so shard merges are
-    // bucket-exact.
-    for (DomainShard &s : shards_) {
-        s.lat[0] = std::make_unique<stats::Histogram>(
-            rec_->localLoadLatency());
-        s.lat[1] = std::make_unique<stats::Histogram>(
-            rec_->remoteLoadLatency());
-        s.lat[2] = std::make_unique<stats::Histogram>(
-            rec_->localStoreLatency());
-        s.lat[3] = std::make_unique<stats::Histogram>(
-            rec_->remoteStoreLatency());
-        for (auto &h : s.lat)
-            h->reset();
-    }
+    return shards_[engine_.domainOf(m)];
 }
 
 EventQueue &
 MemPipeline::queueFor(const MemTxn &txn)
 {
-    if (shards_.empty())
-        return eq_;
     switch (txn.phase) {
       case TxnPhase::L15:
       case TxnPhase::FabReq:
       case TxnPhase::Complete:
-        return engine_->queue(txn.src);
+        return queueOf(txn.src);
       default:
-        return engine_->queue(txn.home_module);
+        return queueOf(txn.home_module);
     }
-}
-
-EventQueue &
-MemPipeline::srcQueue(const MemTxn &txn)
-{
-    return shards_.empty() ? eq_ : engine_->queue(txn.src);
 }
 
 void
@@ -485,11 +493,10 @@ MemPipeline::initTxn(MemTxn &txn, ModuleId src, Addr addr, uint32_t bytes,
     txn.src = src;
     txn.home_module = home;
     txn.home = part;
-    // Domain mode strides ids by module so every domain allocates from
-    // a private counter yet ids stay globally unique.
-    txn.id = shards_.empty()
-                 ? next_id_++
-                 : shards_[src].next_id++ * cfg_.num_modules + src;
+    // Ids stride by domain so every domain allocates from a private
+    // counter yet ids stay globally unique (serial: 0, 1, 2, ...).
+    txn.id = shardOf(src).next_id++ * engine_.numDomains() +
+             engine_.domainOf(src);
     txn.issued = now;
     txn.stall_start = 0;
     txn.t = now;
@@ -537,43 +544,25 @@ MemPipeline::launch(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
         return;
     }
 
-    const bool dom = !shards_.empty();
-    MemTxn &txn = (dom ? shards_[src].arena : arena_).alloc();
+    DomainShard &s = shardOf(src);
+    MemTxn &txn = s.arena.alloc();
     initTxn(txn, src, addr, bytes, is_store, part, home, now);
     txn.done = std::move(done);
 
-    if (dom)
-        shards_[src].launched += 1;
-    else
-        ++txn_launched_;
+    s.tally.launched += 1;
     // The L1.5 sits on the SM side of the fabric and is probed at issue
     // in both models; what gets staged is everything behind it.
     const Cycle before = txn.t;
     serviceOne(txn);
     noteStage(TxnPhase::L15, before, txn);
     if (txn.phase == TxnPhase::Complete) {
-        if (dom)
-            shards_[src].l15_hits += 1;
-        else
-            ++txn_l15_hits_;
+        s.tally.l15_hits += 1;
         completeTxn(txn);
         return;
     }
 
-    if (dom) {
-        DomainShard &s = shards_[src];
-        EventQueue &q = engine_->queue(src);
-        occTickShard(s, q.now());
-        ++s.inflight;
-        txn.in_pipeline = true;
-        s.peak_log.push_back({q.now(), q.currentSchedWhen(), +1});
-    } else {
-        occTick();
-        ++inflight_;
-        txn.in_pipeline = true;
-        if (static_cast<double>(inflight_) > txn_inflight_peak_.value())
-            txn_inflight_peak_.set(static_cast<double>(inflight_));
-    }
+    noteInflight(src, +1);
+    txn.in_pipeline = true;
     admit(txn);
 }
 
@@ -586,10 +575,7 @@ MemPipeline::admit(MemTxn &txn)
             // Stall-on-full: FIFO-wait for an entry. The SM observes the
             // wait as a delayed completion in its scoreboard slot.
             txn.stall_start = txn.t;
-            if (!shards_.empty())
-                shards_[txn.src].mshr_stalls += 1;
-            else
-                ++txn_mshr_stalls_;
+            shardOf(txn.src).tally.mshr_stalls += 1;
             if (flightOn()) [[unlikely]] {
                 flightNote(txn.t, log_detail::concat(
                     "txn ", txn.id, " waiting on mshr:gpm", txn.src,
@@ -622,7 +608,9 @@ __attribute__((flatten))
 void
 MemPipeline::stagedAdvance(MemTxn &txn)
 {
-    const bool dom = !shards_.empty();
+    // The parallel engine's protocol seams: fabric hops and remote store
+    // acks cross domains through the barrier sequencer.
+    const bool dom = engine_.parallel();
     for (;;) {
         if (txn.phase == TxnPhase::Complete) {
             // Remote stores complete at the home; in domain mode the
@@ -635,7 +623,7 @@ MemPipeline::stagedAdvance(MemTxn &txn)
             }
             // Deliver at the transaction's own done time: the last hop
             // computes an arrival later than the event it ran inside.
-            if (txn.t > srcQueue(txn).now()) {
+            if (txn.t > queueOf(txn.src).now()) {
                 scheduleAdvance(txn);
                 return;
             }
@@ -732,7 +720,7 @@ MemPipeline::releaseVcCredit(ModuleId src, ModuleId dst, bool response)
         return;
     // The credit passed straight to the parked head; resume it at the
     // release time (its own clock stopped when it parked).
-    const Cycle now = eq_.now();
+    const Cycle now = engine_.queue(0).now(); // VCs run serial only
     if (w->t < now)
         w->t = now;
     *txn_vc_park_cycles_ += static_cast<double>(w->t - w->stall_start);
@@ -763,14 +751,11 @@ MemPipeline::releaseMshr(MemTxn &txn)
         m.waitq_tail = nullptr;
     w->next = nullptr;
     w->holds_mshr = true;
-    const Cycle now = srcQueue(txn).now();
+    const Cycle now = queueOf(txn.src).now();
     if (w->t < now)
         w->t = now;
-    if (!shards_.empty())
-        shards_[w->src].mshr_stall_cycles +=
-            static_cast<double>(w->t - w->stall_start);
-    else
-        txn_mshr_stall_cycles_ += static_cast<double>(w->t - w->stall_start);
+    shardOf(w->src).tally.mshr_stall_cycles +=
+        static_cast<double>(w->t - w->stall_start);
     if (flightOn()) [[unlikely]] {
         flightNote(w->t, log_detail::concat("mshr:gpm", w->src,
                                             " handed to txn ", w->id));
@@ -785,42 +770,22 @@ MemPipeline::finishCommon(MemTxn &txn)
         l15_stage_.fill(txn);
 
     if (rec_) {
-        if (!shards_.empty()) {
-            // Source-domain histogram shard; merged at end of run.
-            const size_t idx = (txn.is_store ? 2u : 0u) +
-                               (txn.remote ? 1u : 0u);
-            shards_[txn.src].lat[idx]->record(txn.t - txn.issued);
-        } else if (txn.is_store) {
-            rec_->recordStore(txn.remote, txn.t - txn.issued);
-        } else {
-            rec_->recordLoad(txn.remote, txn.t - txn.issued);
-        }
+        // Source-domain histogram shard; folded at every read.
+        const size_t idx = (txn.is_store ? 2u : 0u) + (txn.remote ? 1u : 0u);
+        shardOf(txn.src).lat[idx]->record(txn.t - txn.issued);
     }
 }
 
 void
 MemPipeline::completeTxn(MemTxn &txn)
 {
-    const bool dom = !shards_.empty();
-    if (dom) {
-        // Always a source-domain step: local completions and delivered
-        // load responses run in src events, remote-store acks are
-        // delivered to src by the sequencer.
-        DomainShard &s = shards_[txn.src];
-        s.completed += 1;
-        if (txn.in_pipeline) {
-            EventQueue &q = engine_->queue(txn.src);
-            occTickShard(s, q.now());
-            --s.inflight;
-            s.peak_log.push_back({q.now(), q.currentSchedWhen(), -1});
-        }
-    } else {
-        ++txn_completed_;
-        if (txn.in_pipeline) {
-            occTick();
-            --inflight_;
-        }
-    }
+    // Always a source-domain step: local completions and delivered load
+    // responses run in src events, remote-store acks are delivered to
+    // src by the sequencer.
+    DomainShard &s = shardOf(txn.src);
+    s.tally.completed += 1;
+    if (txn.in_pipeline)
+        noteInflight(txn.src, -1);
     // Loads return their response credit at delivery; stores (which
     // never inject a response) return their request credit here.
     if (txn.holds_resp_credit) {
@@ -838,63 +803,50 @@ MemPipeline::completeTxn(MemTxn &txn)
     // and may nest a new launch — the slot is not on the free list yet,
     // so neither can observe a recycled transaction.
     txn.done(txn, txn.t);
-    (dom ? shards_[txn.src].arena : arena_).release(txn);
+    s.arena.release(txn);
 }
 
 void
-MemPipeline::occTick()
+MemPipeline::noteInflight(ModuleId src, int8_t delta)
 {
-    const Cycle now = eq_.now();
-    if (now > occ_last_) {
-        txn_occupancy_cycles_ += static_cast<double>(inflight_) *
-                                 static_cast<double>(now - occ_last_);
-        occ_last_ = now;
-    }
-}
-
-void
-MemPipeline::occTickShard(DomainShard &s, Cycle now)
-{
+    DomainShard &s = shardOf(src);
+    const EventQueue &q = queueOf(src);
     // The global occupancy integral decomposes exactly into per-domain
     // integrals: sum over domains of inflight_d * dt.
+    const Cycle now = q.now();
     if (now > s.occ_last) {
-        s.occupancy_cycles += static_cast<double>(s.inflight) *
-                              static_cast<double>(now - s.occ_last);
+        s.tally.occupancy_cycles += static_cast<double>(s.inflight) *
+                                    static_cast<double>(now - s.occ_last);
         s.occ_last = now;
     }
+    s.inflight += delta;
+    const PeakEntry e{now, q.currentSchedWhen(), delta};
+    // With one domain no barrier merges the log: apply the entry now.
+    if (shards_.size() == 1)
+        applyPeak(e);
+    else
+        s.peak_log.push_back(e);
 }
 
 void
 MemPipeline::noteStage(TxnPhase ph, Cycle before, MemTxn &txn)
 {
     const Cycle dt = txn.t - before;
-    if (!shards_.empty()) {
-        // Source-side stages shard by txn.src, home-side by the home
-        // module — the domain whose event performed the step, so every
-        // shard has a single writer. Remote fabric hops are summed by
-        // the sequencer instead (seq_fab_cycles_).
-        DomainShard &s = (ph == TxnPhase::L15 || ph == TxnPhase::FabReq)
-                             ? shards_[txn.src]
-                             : shards_[txn.home_module];
-        switch (ph) {
-          case TxnPhase::L15: s.stage_cycles[0] += dt; break;
-          case TxnPhase::FabReq: s.stage_cycles[1] += dt; break;
-          case TxnPhase::L2Lookup:
-          case TxnPhase::L2Fill: s.stage_cycles[2] += dt; break;
-          case TxnPhase::DramRead: s.stage_cycles[3] += dt; break;
-          case TxnPhase::FabResp: s.stage_cycles[4] += dt; break;
-          case TxnPhase::Complete: break;
-        }
-    } else {
-        switch (ph) {
-          case TxnPhase::L15: stage_l15_cycles_ += dt; break;
-          case TxnPhase::FabReq: stage_fab_req_cycles_ += dt; break;
-          case TxnPhase::L2Lookup:
-          case TxnPhase::L2Fill: stage_l2_cycles_ += dt; break;
-          case TxnPhase::DramRead: stage_dram_cycles_ += dt; break;
-          case TxnPhase::FabResp: stage_fab_resp_cycles_ += dt; break;
-          case TxnPhase::Complete: break;
-        }
+    // Source-side stages shard by txn.src, home-side by the home module
+    // — the domain whose event performed the step, so every shard has a
+    // single writer. Remote fabric hops in parallel mode are summed by
+    // the sequencer instead (seq_fab_cycles_).
+    DomainShard &s = (ph == TxnPhase::L15 || ph == TxnPhase::FabReq)
+                         ? shardOf(txn.src)
+                         : shardOf(txn.home_module);
+    switch (ph) {
+      case TxnPhase::L15: s.tally.stage_cycles[0] += dt; break;
+      case TxnPhase::FabReq: s.tally.stage_cycles[1] += dt; break;
+      case TxnPhase::L2Lookup:
+      case TxnPhase::L2Fill: s.tally.stage_cycles[2] += dt; break;
+      case TxnPhase::DramRead: s.tally.stage_cycles[3] += dt; break;
+      case TxnPhase::FabResp: s.tally.stage_cycles[4] += dt; break;
+      case TxnPhase::Complete: break;
     }
     if (dt > 0)
         traceStage(ph, before, txn);
@@ -902,7 +854,7 @@ MemPipeline::noteStage(TxnPhase ph, Cycle before, MemTxn &txn)
         flightPhase(ph, txn);
 }
 
-// ----------------------------------------------- Domain mode (docs/PDES.md)
+// ------------------------------------ Parallel-engine sequencer (docs/PDES.md)
 
 namespace {
 
@@ -944,7 +896,7 @@ MemPipeline::emitCross(MemTxn &txn)
     const bool resp = txn.phase == TxnPhase::FabResp;
     const ModuleId from = resp ? txn.home_module : txn.src;
     const ModuleId to = resp ? txn.src : txn.home_module;
-    const EventQueue &q = engine_->queue(from);
+    const EventQueue &q = engine_.queue(from);
     shards_[from].outbox.push_back(
         {q.now(), q.currentSchedWhen(), txn.t, &txn, from, to,
          resp ? FabricStage::responseBytes(txn)
@@ -955,7 +907,7 @@ MemPipeline::emitCross(MemTxn &txn)
 void
 MemPipeline::emitStoreAck(MemTxn &txn, bool inline_ack)
 {
-    const EventQueue &q = engine_->queue(txn.home_module);
+    const EventQueue &q = engine_.queue(txn.home_module);
     shards_[txn.home_module].outbox.push_back(
         {q.now(), q.currentSchedWhen(), txn.t, &txn, txn.home_module,
          txn.src, 0, CrossMsg::Ack, inline_ack});
@@ -996,13 +948,13 @@ MemPipeline::sequence(const CrossMsg &m)
         // wake-ups (memDone wakes at max(done, now)), and the slip is
         // bounded by one window, deterministic for every worker count
         // (docs/PDES.md).
-        const Cycle at = std::max(m.t, engine_->queue(m.to).now());
+        const Cycle at = std::max(m.t, engine_.queue(m.to).now());
         // Serial either completes the store inside the emitting event
         // (zero-latency tail: inherit its schedule cycle) or schedules a
         // Complete event from it (schedule cycle = its cycle); mirror
         // both so the ack sorts where the serial completion ran.
         const Cycle sched = m.inline_ack ? m.emit_sched : m.emit_t;
-        engine_->deliver(m.to, at, sched, [this, tp] { completeTxn(*tp); });
+        engine_.deliver(m.to, at, sched, [this, tp] { completeTxn(*tp); });
         return;
     }
     // Request hop -> L2Lookup at the home, response hop -> Complete at
@@ -1011,7 +963,7 @@ MemPipeline::sequence(const CrossMsg &m)
     const Cycle at = fabric_stage_.hop(m.from, m.to, m.bytes, m.t);
     seq_fab_cycles_[resp ? 1 : 0] += at - m.t;
     const TxnPhase next = resp ? TxnPhase::Complete : TxnPhase::L2Lookup;
-    engine_->deliver(m.to, at, m.emit_t, [this, tp, at, next] {
+    engine_.deliver(m.to, at, m.emit_t, [this, tp, at, next] {
         tp->t = at;
         tp->phase = next;
         stagedAdvance(*tp);
@@ -1033,45 +985,50 @@ MemPipeline::mergePeakLog()
         [](const PeakEntry &a, const PeakEntry &b) {
             return a.when < b.when || (a.when == b.when && a.sched < b.sched);
         },
-        [this](const PeakEntry &e) {
-            merged_inflight_ += e.delta;
-            if (e.delta > 0 &&
-                static_cast<double>(merged_inflight_) > merged_peak_)
-                merged_peak_ = static_cast<double>(merged_inflight_);
-        });
+        [this](const PeakEntry &e) { applyPeak(e); });
     for (DomainShard &s : shards_)
         s.peak_log.clear();
 }
 
 void
-MemPipeline::mergeShards()
+MemPipeline::applyPeak(const PeakEntry &e)
 {
-    if (shards_.empty() || shards_merged_)
-        return;
-    shards_merged_ = true;
+    // The peak is evaluated on launches, the edge a single running count
+    // would update it on.
+    merged_inflight_ += e.delta;
+    if (e.delta > 0 && static_cast<double>(merged_inflight_) > merged_peak_)
+        merged_peak_ = static_cast<double>(merged_inflight_);
+}
+
+void
+MemPipeline::foldShards()
+{
     mergePeakLog();
     txn_inflight_peak_.set(merged_peak_);
     for (DomainShard &s : shards_) {
-        txn_launched_ += s.launched;
-        txn_completed_ += s.completed;
-        txn_l15_hits_ += s.l15_hits;
-        txn_mshr_stalls_ += s.mshr_stalls;
-        txn_mshr_stall_cycles_ += s.mshr_stall_cycles;
-        txn_occupancy_cycles_ += s.occupancy_cycles;
-        stage_l15_cycles_ += s.stage_cycles[0];
-        stage_fab_req_cycles_ += s.stage_cycles[1];
-        stage_l2_cycles_ += s.stage_cycles[2];
-        stage_dram_cycles_ += s.stage_cycles[3];
-        stage_fab_resp_cycles_ += s.stage_cycles[4];
-        if (rec_ != nullptr && s.lat[0]) {
-            rec_->localLoadLatency().merge(*s.lat[0]);
-            rec_->remoteLoadLatency().merge(*s.lat[1]);
-            rec_->localStoreLatency().merge(*s.lat[2]);
-            rec_->remoteStoreLatency().merge(*s.lat[3]);
+        const DomainShard::Tally &n = s.tally;
+        txn_launched_ += n.launched;
+        txn_completed_ += n.completed;
+        txn_l15_hits_ += n.l15_hits;
+        txn_mshr_stalls_ += n.mshr_stalls;
+        txn_mshr_stall_cycles_ += n.mshr_stall_cycles;
+        txn_occupancy_cycles_ += n.occupancy_cycles;
+        stage_l15_cycles_ += n.stage_cycles[0];
+        stage_fab_req_cycles_ += n.stage_cycles[1];
+        stage_l2_cycles_ += n.stage_cycles[2];
+        stage_dram_cycles_ += n.stage_cycles[3];
+        stage_fab_resp_cycles_ += n.stage_cycles[4];
+        s.tally = {};
+        if (rec_ != nullptr) {
+            for (size_t i = 0; i < 4; ++i) {
+                recorderLatency(*rec_, i).merge(*s.lat[i]);
+                s.lat[i]->reset();
+            }
         }
     }
     stage_fab_req_cycles_ += static_cast<double>(seq_fab_cycles_[0]);
     stage_fab_resp_cycles_ += static_cast<double>(seq_fab_cycles_[1]);
+    seq_fab_cycles_[0] = seq_fab_cycles_[1] = 0;
 }
 
 bool

@@ -226,16 +226,23 @@ class DramStage : public MemStage
 };
 
 /**
- * Owns the stages, the transaction arena and (staged mode) the MSHR
+ * Owns the stages, the per-domain shards and (staged mode) the MSHR
  * state; GpuSystem::memAccess delegates here. One pipeline per
- * GpuSystem, same single-owner threading contract as everything else.
+ * GpuSystem. The pipeline is sharded by the engine's domains: one
+ * shard on the serial engine, one per module on the parallel engine,
+ * so both modes run the same accounting code (docs/PDES.md).
  */
 class MemPipeline
 {
   public:
-    /** @p rec is the observability sink for load/store latencies and
-     *  (when tracing) per-stage transaction spans; may be null. */
-    MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
+    /**
+     * @p engine supplies the event queues and fixes the shard count
+     * (SimEngine::numDomains()); with several domains the pipeline
+     * installs its processMessages() as the engine's sequencer hook.
+     * @p rec is the observability sink for load/store latencies and
+     * (when tracing) per-stage transaction spans; may be null.
+     */
+    MemPipeline(const GpuConfig &cfg, SimEngine &engine, PageTable &pt,
                 Fabric &fabric, EnergyModel &energy, Domain link_domain,
                 const std::vector<std::unique_ptr<Cache>> &l15,
                 const std::vector<std::unique_ptr<Cache>> &l2,
@@ -251,19 +258,6 @@ class MemPipeline
                 Cycle now, TxnDoneFn &&done);
 
     bool staged() const { return staged_; }
-
-    // --- Per-GPM simulation domains (parallel engine; docs/PDES.md) ------
-    /**
-     * Partition the pipeline across the engine's per-GPM domains: one
-     * shard (arena, txn ids, stats mirrors, latency histograms, message
-     * outbox) per module, events scheduled into the owning module's
-     * queue, and remote traffic carried as cross-domain messages the
-     * barrier sequencer delivers. Must be called before any launch;
-     * requires staged mode with VCs off.
-     */
-    void enableDomains(SimEngine &engine);
-
-    bool domainMode() const { return engine_ != nullptr; }
 
     /**
      * Barrier sequencer: merge every domain's outbox in (emit cycle,
@@ -283,17 +277,16 @@ class MemPipeline
      *  count to report serial-comparable event totals. */
     uint64_t executedAdjust() const { return exec_inline_acks_; }
 
-    /** Fold the per-domain shards into the primary stats scalars and
-     *  the recorder's histograms, in domain order (exact: integer
-     *  counts and cycle sums). Idempotent; call once the run ends. */
-    void mergeShards();
+    /** Fold every shard into the "mem" scalars and the recorder's
+     *  latency histograms, in domain order, and zero the shards (exact:
+     *  integer counts and cycle sums). Call between runs, any number of
+     *  times; every reader folds first. */
+    void foldShards();
 
     /** Transactions currently between launch and completion (staged). */
     uint64_t
     inflight() const
     {
-        if (shards_.empty())
-            return inflight_;
         uint64_t n = 0;
         for (const DomainShard &s : shards_)
             n += s.inflight;
@@ -336,9 +329,15 @@ class MemPipeline
      *  credit flow control off. */
     void dumpVcOccupancy(std::ostream &os) const;
 
-    /** The "mem" stats group (txn_* scalars; staged mode only fills
-     *  them, chain mode leaves the group at zero). */
-    const stats::Group &statsGroup() const { return stats_; }
+    /** The "mem" stats group with every shard folded in (txn_*
+     *  scalars; staged mode only fills them, chain mode leaves the
+     *  group at zero). */
+    const stats::Group &
+    statsGroup()
+    {
+        foldShards();
+        return stats_;
+    }
 
   private:
     struct MshrState
@@ -382,11 +381,12 @@ class MemPipeline
 
     /**
      * Per-domain state: everything one domain's events touch without
-     * synchronization. Source-side counters (launches, occupancy, MSHR
-     * stalls, latency histograms) shard by txn.src; home-side counters
-     * (L2/DRAM stage cycles) by txn.home_module; the outbox belongs to
-     * the domain whose events fill it. Remote fabric stage cycles are
-     * the sequencer's (seq_fab_cycles_).
+     * synchronization. The serial engine has one shard. The parallel
+     * engine has one per module: source-side counters (launches,
+     * occupancy, MSHR stalls, latency histograms) shard by txn.src,
+     * home-side counters (L2/DRAM stage cycles) by txn.home_module, the
+     * outbox belongs to the domain whose events fill it, and remote
+     * fabric stage cycles are the sequencer's (seq_fab_cycles_).
      */
     struct DomainShard
     {
@@ -396,21 +396,26 @@ class MemPipeline
         uint64_t inflight = 0;
         Cycle occ_last = 0;
 
-        // Mirrors of the mem stats scalars (merged in domain order;
-        // integer-valued, so double sums are exact).
-        double launched = 0;
-        double completed = 0;
-        double l15_hits = 0;
-        double mshr_stalls = 0;
-        double mshr_stall_cycles = 0;
-        double occupancy_cycles = 0;
-        double stage_cycles[5] = {};  // l15, fab_req, l2, dram, fab_resp
+        /** Counts foldShards() adds into the mem scalars, then zeroes
+         *  (integer-valued, so the double sums are exact). */
+        struct Tally
+        {
+            double launched = 0;
+            double completed = 0;
+            double l15_hits = 0;
+            double mshr_stalls = 0;
+            double mshr_stall_cycles = 0;
+            double occupancy_cycles = 0;
+            double stage_cycles[5] = {}; // l15, fab_req, l2, dram, fab_resp
+        } tally;
 
+        /** Parallel engine only: inflight transitions awaiting the
+         *  barrier merge. */
         std::vector<PeakEntry> peak_log;
         std::vector<CrossMsg> outbox;
 
         /** Latency histogram shards: local/remote load, local/remote
-         *  store (recorder recipes; merged at end of run). */
+         *  store (recorder recipes; folded and reset at every read). */
         std::unique_ptr<stats::Histogram> lat[4];
     };
 
@@ -436,12 +441,18 @@ class MemPipeline
 
     void completeTxn(MemTxn &txn);
 
-    // --- Domain-mode internals (docs/PDES.md) ----------------------------
+    // --- Domains (docs/PDES.md) -------------------------------------------
+    /** The queue and the shard of module @p m's domain. */
+    EventQueue &queueOf(ModuleId m);
+    DomainShard &shardOf(ModuleId m);
     /** The queue a transaction's next event belongs to: src domain for
      *  L15/FabReq/Complete, home domain for the home-side phases. */
     EventQueue &queueFor(const MemTxn &txn);
-    /** The queue whose event is executing a source-side step. */
-    EventQueue &srcQueue(const MemTxn &txn);
+    /** Account one transaction entering (+1) or leaving (-1) flight in
+     *  @p src's domain: occupancy integral, count and peak entry. */
+    void noteInflight(ModuleId src, int8_t delta);
+    /** Apply one inflight transition to the global count and peak. */
+    void applyPeak(const PeakEntry &e);
     /** Hand a request/response fabric hop to the barrier sequencer. */
     void emitCross(MemTxn &txn);
     /** Hand a completed remote store's ack to the barrier sequencer. */
@@ -451,9 +462,6 @@ class MemPipeline
     /** Merge the per-domain inflight transition logs into the global
      *  peak (runs at barriers, single-threaded). */
     void mergePeakLog();
-    /** Clone the recorder's latency histogram recipes into the shards. */
-    void buildShardHistograms();
-    void occTickShard(DomainShard &s, Cycle now);
 
     // --- Credit flow control (staged with fabric_vcs > 0) ---------------
     /** Gate a remote FabReq/FabResp on its VC credit; true = parked. */
@@ -467,7 +475,6 @@ class MemPipeline
     /** Wait-for-graph reporter (MSHR queues + VC pools). */
     void reportWaits(WaitGraph &wg) const;
 
-    void occTick();
     void noteStage(TxnPhase ph, Cycle before, MemTxn &txn);
     /** Flight-recorder entries (passive; only when rec_->flight()). */
     bool flightOn() const;
@@ -478,9 +485,8 @@ class MemPipeline
     void traceVcWait(const MemTxn &txn);
 
     const GpuConfig &cfg_;
-    EventQueue &eq_;
+    SimEngine &engine_;
     PageTable &page_table_;
-    TxnArena arena_;
 
     L15Stage l15_stage_;
     FabricStage fabric_stage_;
@@ -496,21 +502,14 @@ class MemPipeline
 
     obs::Recorder *rec_;
 
-    uint64_t next_id_ = 0;
-    uint64_t inflight_ = 0;
-    Cycle occ_last_ = 0;
-
-    // --- Domain mode (parallel engine) -----------------------------------
-    SimEngine *engine_ = nullptr;
-    std::vector<DomainShard> shards_;
+    std::vector<DomainShard> shards_;     //!< one per engine domain
     std::vector<size_t> merge_pos_;       //!< outbox / peak-log cursors
     /** Fabric request / response stage cycles priced by the sequencer
-     *  (folded into the stats scalars by mergeShards). */
+     *  (folded into the stats scalars by foldShards). */
     Cycle seq_fab_cycles_[2] = {0, 0};
     int64_t merged_inflight_ = 0;
     double merged_peak_ = 0;
     uint64_t exec_inline_acks_ = 0;
-    bool shards_merged_ = false;
 
     /** Per-transaction-stage trace spans are capped so tracing a long
      *  run cannot balloon the trace file. */

@@ -75,21 +75,6 @@ class Recorder
     /** Non-null when --obs-flight-recorder is set. */
     FlightRecorder *flight() { return flight_.get(); }
 
-    /** Record one completed load (latency in cycles). */
-    void
-    recordLoad(bool remote, Cycle latency)
-    {
-        (remote ? remote_load_ : local_load_).record(latency);
-    }
-
-    /** Record one posted store's acceptance latency (cycles from issue
-     *  to the home partition accepting the data). */
-    void
-    recordStore(bool remote, Cycle latency)
-    {
-        (remote ? remote_store_ : local_store_).record(latency);
-    }
-
     // --- Trace hooks -------------------------------------------------------
     bool traceEnabled() const { return opt_.trace_json; }
 

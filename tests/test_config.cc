@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/config.hh"
 #include "common/units.hh"
 #include "topo/fabric.hh"
@@ -271,6 +273,18 @@ TEST(ConfigIssues, FaultPlanSanity)
     EXPECT_TRUE(
         ConfigError(c.check()).has(ConfigErrc::FaultBadLinkErrorRate));
 
+    // NaN compares false against every bound, so it must fail each.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    c = configs::mcmBasic();
+    c.fault = FaultPlan{}.derateLinks(nan);
+    EXPECT_TRUE(
+        ConfigError(c.check()).has(ConfigErrc::FaultBadLinkDerate));
+
+    c = configs::mcmBasic();
+    c.fault = FaultPlan{}.injectLinkErrors(nan);
+    EXPECT_TRUE(
+        ConfigError(c.check()).has(ConfigErrc::FaultBadLinkErrorRate));
+
     // p = 1.0 is legal: an always-erroring link is a valid fault plan
     // and surfaces as a typed LinkWedged stall, not a config error.
     c = configs::mcmBasic();
@@ -295,6 +309,28 @@ TEST(ConfigIssues, FaultPlanSanity)
                   .injectLinkErrors(1e-3)
                   .killPartition(2);
     EXPECT_TRUE(c.check().empty());
+}
+
+TEST(ConfigIssues, NonFiniteBandwidth)
+{
+    // NaN compares false against any bound; it and infinity must fail
+    // every rate check.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(bad);
+        GpuConfig c = configs::mcmBasic();
+        c.link_gbps = bad;
+        EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::NoLinkBandwidth));
+
+        c = configs::mcmBasic();
+        c.dram_total_gbps = bad;
+        EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::NoDramBandwidth));
+
+        c = configs::mcmBasic().withTopology("package:2");
+        ASSERT_TRUE(c.check().empty());
+        c.pkg_link_gbps = bad;
+        EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::NoLinkBandwidth));
+    }
 }
 
 TEST(Config, EnergyConstantsMatchTable2)

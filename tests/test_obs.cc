@@ -373,8 +373,8 @@ TEST_F(ObsRecorderTest, WritesValidArtifactsAndClosesTruncatedSpans)
     rec.ctaFinished(0, 90);
     rec.ctaFinished(0, 120);
     rec.ctaLaunched(1, 30);
-    rec.recordLoad(false, 40);
-    rec.recordLoad(true, 200);
+    rec.localLoadLatency().record(40);
+    rec.remoteLoadLatency().record(200);
     rec.linkQueueDelay().record(7);
     rec.linkBusySpans("ring.cw0", {{10, 60}, {100, 130}});
     // The run hits its cycle limit with kernel k0 and module 1's batch

@@ -11,8 +11,9 @@
  * serial engine itself, every ineligible configuration falls back to
  * serial with a warning naming its row, a degenerate (<= 1 cycle)
  * lookahead falls back, a machine built with a serial-only recorder
- * runs serial from the start, and a run cut by its cycle limit freezes
- * the same machine for every worker count.
+ * runs serial from the start, a run cut by its cycle limit freezes
+ * the same machine for every worker count, and reading the stats
+ * between kernels leaves the final totals unchanged on either engine.
  */
 
 #include <gtest/gtest.h>
@@ -122,6 +123,18 @@ pdesConfig(uint32_t threads)
     c.cta_sched = CtaSchedPolicy::DistributedBatch;
     c.withSimThreads(threads);
     return c;
+}
+
+/** The number after the first `"<key>": ` at or after @p from. */
+double
+numberAfter(const std::string &doc, const std::string &key, size_t from = 0)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t pos = doc.find(needle, from);
+    EXPECT_NE(pos, std::string::npos) << key;
+    return pos == std::string::npos
+               ? -1.0
+               : std::stod(doc.substr(pos + needle.size(), 32));
 }
 
 /** Headline metrics that must not depend on the worker count. */
@@ -254,6 +267,59 @@ TEST_F(PdesTest, CycleLimitIdenticalAcrossWorkerCounts)
         expectSameResult(results[0], results[i]);
         EXPECT_EQ(stats[0], stats[i]);
         EXPECT_EQ(pending[0], pending[i]);
+    }
+}
+
+TEST_F(PdesTest, StatsReadBetweenKernelsKeepsCounting)
+{
+    // Every read folds the per-domain shards into the totals and starts
+    // them afresh, so a read between the two kernels leaves the final
+    // document unchanged, on the serial engine (one shard) and on the
+    // parallel one.
+    const Workload w = crossTrafficWorkload();
+    ASSERT_EQ(w.launches.size(), 1u);
+    ASSERT_EQ(w.launches[0].iterations, 2u);
+    const KernelDesc &kernel = w.launches[0].kernel;
+    obs::Options opt;
+    opt.stats_json = true;
+    for (uint32_t threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        const GpuConfig cfg = pdesConfig(threads);
+        auto finalStats = [&](bool read_between) {
+            obs::Recorder rec(opt, cfg.name, w.abbr, cfg.num_modules);
+            GpuSystem gpu(cfg, &rec);
+            EXPECT_EQ(gpu.simEngine().parallel(), threads > 1);
+            Runtime rt(gpu);
+            std::ostringstream os;
+            rt.runKernel(kernel);
+            if (read_between)
+                gpu.statsJson(os, w.abbr);
+            rt.runKernel(kernel);
+            EXPECT_EQ(rt.status(), RunStatus::Finished);
+            os.str("");
+            gpu.statsJson(os, w.abbr);
+            return os.str();
+        };
+        const std::string read_twice = finalStats(true);
+        const std::string read_once = finalStats(false);
+        EXPECT_EQ(numberAfter(read_twice, "txn_launched"),
+                  numberAfter(read_once, "txn_launched"));
+        EXPECT_TRUE(read_twice == read_once) << "final stats.json differs";
+
+        // Every completed transaction lands in one latency histogram.
+        for (const std::string &doc : {read_twice, read_once}) {
+            double samples = 0;
+            for (const char *h :
+                 {"load_latency_local", "load_latency_remote",
+                  "store_latency_local", "store_latency_remote"}) {
+                const size_t at =
+                    doc.find(std::string("\"name\": \"") + h + "\"");
+                ASSERT_NE(at, std::string::npos) << h;
+                samples += numberAfter(doc, "count", at);
+            }
+            EXPECT_GT(samples, 0.0);
+            EXPECT_EQ(samples, numberAfter(doc, "txn_completed"));
+        }
     }
 }
 

@@ -7,12 +7,13 @@
  * every worker count, and a run cut by its cycle limit leaves
  * undelivered events pending in the queues. The guard: the barrier
  * loop evaluates the serial loop's watchdog and wall deadline over the
- * engine's totals.
+ * engine's totals, and a deadline past the clock's range never fires.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,30 @@ TEST(SimEngine, ExpiredWallDeadlineRaisesSimTimeout)
         EXPECT_THROW(engine.run(), SimTimeout);
         EXPECT_EQ(ran, 0);
         EXPECT_EQ(engine.pending(), 1u);
+    }
+}
+
+TEST(SimEngine, UnrepresentableWallDeadlineNeverExpires)
+{
+    // The steady clock holds about 292 years of nanoseconds. A longer
+    // budget, or an infinite one, can never expire and must not wrap to
+    // a deadline in the past when cast into the clock. One thread is
+    // the serial engine, two the parallel one.
+    for (double seconds : {1e10, std::numeric_limits<double>::infinity()}) {
+        for (uint32_t threads : {1u, 2u}) {
+            SCOPED_TRACE(testing::Message()
+                         << seconds << " s, " << threads << " threads");
+            SimEngine engine;
+            if (threads > 1)
+                engine.activateParallel(2, threads, kLookahead);
+            engine.setWallDeadline(seconds);
+            std::vector<int> ran(engine.numDomains(), 0);
+            for (uint32_t d = 0; d < engine.numDomains(); ++d)
+                engine.queue(d).schedule(5 + d, [&ran, d] { ++ran[d]; });
+            EXPECT_EQ(engine.run(), SimEngine::Outcome::Drained);
+            for (int n : ran)
+                EXPECT_EQ(n, 1);
+        }
     }
 }
 
