@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hh"
@@ -27,6 +28,21 @@ bool
 finitePositive(double gbps)
 {
     return gbps > 0.0 && std::isfinite(gbps);
+}
+
+/**
+ * The paper carves L1.5 capacity out of the memory-side L2 in an
+ * iso-transistor manner; when (almost) all of the L2 moves, a small 32 KB
+ * per-partition sliver remains to accelerate atomics (section 5.1.2).
+ */
+constexpr uint64_t kTotalCacheBudget = 16 * MiB;
+constexpr uint64_t kL2SliverPerPartition = 32 * KiB;
+
+/** Figure 2's proportional L2 and L1.5 budget: 16 MB at 256 SMs. */
+uint64_t
+cacheBudget(uint64_t sms)
+{
+    return kTotalCacheBudget * sms / 256;
 }
 
 } // namespace
@@ -80,15 +96,27 @@ GpuConfig::check() const
     if (num_modules > 1 && !finitePositive(link_gbps))
         flag(ConfigErrc::NoLinkBandwidth,
              "inter-module links need bandwidth");
-    if (l15_alloc != L15Alloc::Off && l15_total_bytes == 0)
+    if (l15_alloc != L15Alloc::Off && l15.size_bytes == 0)
         flag(ConfigErrc::L15NoCapacity, "L1.5 enabled with zero capacity");
-    if (num_modules > 0 && partitions_per_module > 0 &&
-        l2.size_bytes != 0 &&
-        l2.size_bytes / totalPartitions() <
-            static_cast<uint64_t>(l2.line_bytes) * l2.ways) {
-        flag(ConfigErrc::L2SliceTooSmall,
-             "per-partition L2 smaller than one set");
-    }
+    // Each level is built per SM, GPM or partition, and a Cache counts
+    // its sets in 32 bits: a present level holds at least one set in
+    // every instance, and fewer than 2^32.
+    auto sets = [&](const char *level, const CacheGeometry &g,
+                    uint64_t instances) {
+        if (g.size_bytes == 0 || instances == 0)
+            return; // no such level, or no machine (flagged above)
+        const uint64_t per = g.size_bytes / instances;
+        const uint64_t set = static_cast<uint64_t>(g.line_bytes) * g.ways;
+        if (set == 0 || per / set == 0 ||
+            per / set > std::numeric_limits<uint32_t>::max()) {
+            flag(ConfigErrc::BadCacheSets, level, " of ", per,
+                 " B does not hold 1 to 2^32 - 1 sets of ", g.ways, " x ",
+                 g.line_bytes, " B");
+        }
+    };
+    sets("per-SM L1", l1, 1);
+    sets("per-GPM L1.5", l15, num_modules);
+    sets("per-partition L2", l2, totalPartitions());
 
     if (fabric_vcs > 2)
         flag(ConfigErrc::BadFabricVcs, "fabric_vcs ", fabric_vcs,
@@ -186,22 +214,17 @@ GpuConfig::validate() const
 GpuConfig &
 GpuConfig::withL15(uint64_t total_bytes, L15Alloc alloc)
 {
-    l15_total_bytes = total_bytes;
+    const uint64_t budget = cacheBudget(totalSms());
+    l15.size_bytes = total_bytes;
     l15_alloc = total_bytes == 0 ? L15Alloc::Off : alloc;
+    l2.size_bytes = std::max(total_bytes < budget ? budget - total_bytes : 0,
+                             kL2SliverPerPartition * totalPartitions());
     return *this;
 }
 
 namespace configs {
 
 namespace {
-
-/**
- * The paper carves L1.5 capacity out of the memory-side L2 in an
- * iso-transistor manner; when (almost) all of the L2 moves, a small 32 KB
- * per-partition sliver remains to accelerate atomics (section 5.1.2).
- */
-constexpr uint64_t kTotalCacheBudget = 16 * MiB;
-constexpr uint64_t kL2SliverPerPartition = 32 * KiB;
 
 /** The one spelling of every machine the command line can name. */
 const struct
@@ -238,7 +261,7 @@ monolithic(uint32_t num_sms)
     // parallelism) scale with the machine exactly like the paper's
     // proportional scaling experiment.
     c.partitions_per_module = num_sms / 32;
-    c.l2.size_bytes = kTotalCacheBudget * num_sms / 256;
+    c.l2.size_bytes = cacheBudget(num_sms);
     c.dram_total_gbps = 3072.0 * num_sms / 256.0;
     c.link_gbps = 0.0;
     c.cta_sched = CtaSchedPolicy::CentralizedRR;
@@ -279,22 +302,9 @@ mcmBasic(double link_gbps)
 GpuConfig
 mcmWithL15(uint64_t l15_total, L15Alloc alloc, double link_gbps)
 {
-    GpuConfig c = mcmBasic(link_gbps);
-    c.withL15(l15_total, alloc);
-    // Iso-transistor rebalance: L1.5 capacity comes out of the L2 budget,
-    // never below the per-partition sliver. A 32MB L1.5 exceeds the
-    // budget on purpose (the paper's non-iso-transistor data point).
-    uint64_t sliver = kL2SliverPerPartition * c.totalPartitions();
-    c.l2.size_bytes = l15_total >= kTotalCacheBudget
-                          ? sliver
-                          : kTotalCacheBudget - l15_total;
-    if (c.l2.size_bytes < sliver)
-        c.l2.size_bytes = sliver;
-    // Small per-partition L2s cannot sustain 16 ways of a full line set.
-    if (c.l2BytesPerPartition() <
-        static_cast<uint64_t>(c.l2.line_bytes) * c.l2.ways) {
-        c.l2.ways = 4;
-    }
+    // A 32MB L1.5 exceeds the budget on purpose (the paper's
+    // non-iso-transistor data point).
+    GpuConfig c = mcmBasic(link_gbps).withL15(l15_total, alloc);
     c.name = "mcm-l15-" + std::to_string(l15_total / MiB) + "mb" +
              (alloc == L15Alloc::RemoteOnly ? "-remote" : "-all");
     return c;
@@ -403,7 +413,6 @@ multiGpuOptimized()
     GpuConfig c = multiGpuBaseline();
     // Half of each GPU's L2 becomes a GPU-side remote-only cache.
     c.withL15(8 * MiB, L15Alloc::RemoteOnly);
-    c.l2.size_bytes = 8 * MiB;
     c.name = "multi-gpu-optimized";
     return c;
 }

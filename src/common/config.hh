@@ -11,9 +11,12 @@
 #ifndef MCMGPU_COMMON_CONFIG_HH
 #define MCMGPU_COMMON_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -36,7 +39,7 @@ enum class ConfigErrc
     NoDramBandwidth,
     NoLinkBandwidth,
     L15NoCapacity,
-    L2SliceTooSmall,
+    BadCacheSets, //!< a cache instance holds no set, or 2^32 sets or more
     FaultBadModule,
     FaultBadSm,
     FaultModuleFullySwept,
@@ -151,6 +154,8 @@ struct CacheGeometry
     uint32_t ways = 16;
     Cycle hit_latency = 30;
 
+    /** Sets of one instance of @p size_bytes; GpuConfig::check()
+     *  rejects every machine whose count would be 0 or not fit. */
     uint32_t
     numSets() const
     {
@@ -187,9 +192,8 @@ struct GpuConfig
 
     // --- Caches -------------------------------------------------------------
     CacheGeometry l1{128 * KiB, 128, 4, 4};    //!< per SM
-    CacheGeometry l15{0, 128, 16, 16};         //!< per module (total below)
+    CacheGeometry l15{0, 128, 16, 16};         //!< total across the GPU
     CacheGeometry l2{16 * MiB, 128, 16, 30};   //!< total across the GPU
-    uint64_t l15_total_bytes = 0;              //!< summed over all modules
     L15Alloc l15_alloc = L15Alloc::Off;
     /** Serial tag-check latency added to requests that miss the L1.5
      *  before they can head for the fabric (cause of the paper's
@@ -235,11 +239,6 @@ struct GpuConfig
      *  backlog at send time (docs/TOPOLOGY.md). Topologies without
      *  equal-cost ties (ports, a single module) are unaffected. */
     RoutePolicy route_policy = RoutePolicy::Static;
-
-    // --- Energy (Table 2) -----------------------------------------------------
-    double chip_pj_per_bit = 0.080;    //!< on-chip movement, 80 fJ/b
-    double package_pj_per_bit = 0.5;   //!< on-package GRS links
-    double board_pj_per_bit = 10.0;    //!< on-board (multi-GPU) links
 
     // --- Memory pipeline ---------------------------------------------------------
     /** Split-transaction model selector; Chain reproduces the seed
@@ -307,7 +306,7 @@ struct GpuConfig
     uint64_t l2BytesPerPartition() const
     { return l2.size_bytes / totalPartitions(); }
     uint64_t l15BytesPerModule() const
-    { return l15_total_bytes / num_modules; }
+    { return l15.size_bytes / num_modules; }
 
     /**
      * Structured consistency check: every defect found, including
@@ -322,6 +321,14 @@ struct GpuConfig
     // --- Fluent mutators used by experiment sweeps ------------------------------
     GpuConfig &withName(std::string n) { name = std::move(n); return *this; }
     GpuConfig &withLinkGbps(double gbps) { link_gbps = gbps; return *this; }
+    /**
+     * Carve an L1.5 of @p total_bytes out of the L2, iso-transistor
+     * (section 5.1): the two share a budget of 64 KiB per SM (Figure
+     * 2's proportional rule), and the L2 keeps the rest, never less
+     * than a 32 KiB sliver per partition for atomics. An L1.5 past the
+     * budget leaves only the sliver. 0 turns the L1.5 off and gives
+     * the L2 the whole budget.
+     */
     GpuConfig &withL15(uint64_t total_bytes, L15Alloc alloc);
     GpuConfig &withSched(CtaSchedPolicy p) { cta_sched = p; return *this; }
     GpuConfig &withPagePolicy(PagePolicy p) { page_policy = p; return *this; }
@@ -361,6 +368,86 @@ struct GpuConfig
     }
 };
 
+/**
+ * MCMGPU_FIELDS(obj, f, prefix, m1, m2, ...) binds the members of
+ * @p obj as m1, m2, ... and hands each to f under its own spelling, so
+ * the binding is the field list: it fails to compile unless it names
+ * every member, and no member can be bound without being visited.
+ */
+#define MCMGPU_FIELDS(obj, f, prefix, ...)                                  \
+    auto &[__VA_ARGS__] = obj;                                             \
+    config_detail::visitMembers(f, prefix, #__VA_ARGS__, __VA_ARGS__)
+
+namespace config_detail {
+
+/** Calls f(prefix + name, member) on each of @p members, taking the
+ *  names in order from @p names, their comma-separated spelling. A
+ *  CacheGeometry or FaultPlan member is walked field by field. */
+template <typename F, typename... M>
+void
+visitMembers(F &f, const std::string &prefix, std::string_view names,
+             M &...members)
+{
+    auto visit = [&](auto &member) {
+        const size_t begin = names.find_first_not_of(", ");
+        const size_t end = names.find_first_of(", ", begin);
+        const std::string name =
+            prefix + std::string(names.substr(begin, end - begin));
+        names.remove_prefix(std::min(end, names.size()));
+        using S = std::remove_cvref_t<decltype(member)>;
+        if constexpr (std::is_same_v<S, CacheGeometry> ||
+                      std::is_same_v<S, FaultPlan>)
+            forEachField(member, f, name + ".");
+        else
+            f(name, member);
+    };
+    (visit(members), ...);
+}
+
+} // namespace config_detail
+
+/**
+ * The one list of a machine's settings: calls f(name, member) on every
+ * member of @p obj, in declaration order, each name prefixed with
+ * @p prefix. @p obj is a GpuConfig, a CacheGeometry, a FaultPlan or a
+ * FaultPlan list item; a GpuConfig's CacheGeometry and FaultPlan
+ * members are walked in place ("l2.ways", "fault.seed").
+ * experiment::configKey() is this walk.
+ */
+template <typename T, typename F>
+void
+forEachField(T &obj, F &&f, const std::string &prefix = "")
+{
+    using S = std::remove_const_t<T>;
+    if constexpr (std::is_same_v<S, CacheGeometry>) {
+        MCMGPU_FIELDS(obj, f, prefix, size_bytes, line_bytes, ways,
+                      hit_latency);
+    } else if constexpr (std::is_same_v<S, FaultPlan>) {
+        MCMGPU_FIELDS(obj, f, prefix, swept_sms, link_faults,
+                      link_retry_cycles, seed, dead_partitions);
+    } else if constexpr (std::is_same_v<S, FaultPlan::SweptSm>) {
+        MCMGPU_FIELDS(obj, f, prefix, module, local_sm);
+    } else if constexpr (std::is_same_v<S, FaultPlan::LinkFault>) {
+        MCMGPU_FIELDS(obj, f, prefix, module, bw_derate, error_rate);
+    } else {
+        static_assert(std::is_same_v<S, GpuConfig>);
+        MCMGPU_FIELDS(obj, f, prefix, name, num_modules, sms_per_module,
+                      partitions_per_module, max_warps_per_sm,
+                      max_ctas_per_sm, sm_issue_width,
+                      max_outstanding_per_warp, l1, l15, l2, l15_alloc,
+                      l15_miss_penalty, dram_total_gbps, dram_latency_ns,
+                      channels_per_partition, dram_turnaround_cycles,
+                      dram_write_drain, topology, link_gbps, link_hop_cycles,
+                      board_level_links, pkg_link_gbps, pkg_link_hop_cycles,
+                      route_policy, mem_model, remote_mshrs, fabric_vcs,
+                      vc_credits, page_policy, page_bytes, interleave_bytes,
+                      cta_sched, kernel_launch_cycles, fault, watchdog_cycles,
+                      cycle_limit, sim_threads);
+    }
+}
+
+#undef MCMGPU_FIELDS
+
 namespace configs {
 
 /**
@@ -379,7 +466,8 @@ GpuConfig monolithicUnbuildable();
 /** Table 3: the basic 4-GPM, 256-SM MCM-GPU. */
 GpuConfig mcmBasic(double link_gbps = 768.0);
 
-/** Basic MCM-GPU plus a remote-only L1.5 of @p l15_total bytes. */
+/** Basic MCM-GPU with an L1.5 of @p l15_total bytes carved out of its
+ *  L2 (GpuConfig::withL15). */
 GpuConfig mcmWithL15(uint64_t l15_total, L15Alloc alloc = L15Alloc::RemoteOnly,
                      double link_gbps = 768.0);
 

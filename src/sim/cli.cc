@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "obs/options.hh"
@@ -64,12 +65,16 @@ machineFlags(GpuConfig &c)
               c.link_gbps),
         value("--hop-cycles", "<n>", "per-hop link latency",
               c.link_hop_cycles),
-        typed<uint64_t>("--l15-mb", "<n>", "remote-only L1.5 capacity in MB "
-                        "(total), taken from the 16 MB L2", [&c](uint64_t mb) {
-                            c.withL15(mb * MiB, L15Alloc::RemoteOnly);
-                            if (mb > 0 && mb * MiB < 16 * MiB)
-                                c.l2.size_bytes = 16 * MiB - mb * MiB;
-                        }),
+        {"--l15-mb", "<n>", "remote-only L1.5 capacity in MB (total), "
+         "carved out of the machine's cache budget of 64 KB per SM; the L2 "
+         "keeps the rest, at least 32 KB per partition (0 = no L1.5)",
+         [&c](const std::string &text) {
+             uint64_t mb = 0;
+             parseValue("--l15-mb", text, mb);
+             if (mb > std::numeric_limits<uint64_t>::max() / MiB)
+                 throw invalidValue("--l15-mb", text);
+             c.withL15(mb * MiB, L15Alloc::RemoteOnly);
+         }},
         choice("--sched", "CTA scheduling policy", c.cta_sched,
                {{"centralized", CtaSchedPolicy::CentralizedRR},
                 {"distributed", CtaSchedPolicy::DistributedBatch},

@@ -69,11 +69,18 @@ struct FlagTable
     std::vector<Flag> flags;
 };
 
+/** The UsageError "invalid value 'x' for <flag>". */
+inline UsageError
+invalidValue(const std::string &flag, const std::string &text)
+{
+    return UsageError("invalid value '" + text + "' for " + flag);
+}
+
 /**
- * Parse all of @p text into @p out, or throw "invalid value 'x' for
- * <flag>". The target's type is the grammar: unsigned targets refuse
- * any sign, and an out-of-range value is rejected, never wrapped or
- * truncated. Strings are taken verbatim.
+ * Parse all of @p text into @p out, or throw invalidValue(). The
+ * target's type is the grammar: unsigned targets refuse any sign, and
+ * an out-of-range value is rejected, never wrapped or truncated.
+ * Strings are taken verbatim.
  */
 template <typename T>
 void
@@ -85,7 +92,7 @@ parseValue(const std::string &flag, const std::string &text, T &out)
         const char *end = text.data() + text.size();
         const auto [stop, ec] = std::from_chars(text.data(), end, out);
         if (ec != std::errc() || stop != end)
-            throw UsageError("invalid value '" + text + "' for " + flag);
+            throw invalidValue(flag, text);
     }
 }
 

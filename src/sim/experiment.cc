@@ -1,10 +1,14 @@
 #include "sim/experiment.hh"
 
+#include <charconv>
+#include <iomanip>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "common/summary.hh"
@@ -18,7 +22,7 @@ namespace experiment {
 namespace {
 
 /** Bump when the timing model changes to invalidate stale caches. */
-constexpr int kModelVersion = 3;
+constexpr int kModelVersion = 4;
 
 /**
  * Process-wide harness state. One mutex guards all of it: the memo is
@@ -68,6 +72,40 @@ bool
 cacheableKey(const std::string &key)
 {
     return key.find("<uncacheable>") == std::string::npos;
+}
+
+/** Writes @p v so that distinct values print distinctly: integers,
+ *  bools and enums in decimal, doubles in their shortest round-trip
+ *  form, strings quoted, lists in order, list items field by field. */
+template <typename T>
+void
+put(std::ostream &os, const T &v)
+{
+    if constexpr (std::is_enum_v<T>) {
+        put(os, static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+        os << +v;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        char buf[32];
+        os.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        os << std::quoted(v);
+    } else if constexpr (std::ranges::range<T>) {
+        os << '[';
+        for (const char *sep = ""; const auto &item : v) {
+            os << sep;
+            put(os, item);
+            sep = ",";
+        }
+        os << ']';
+    } else {
+        const char *sep = "";
+        forEachField(v, [&](const std::string &, const auto &field) {
+            os << sep;
+            put(os, field);
+            sep = ":";
+        });
+    }
 }
 
 /** Snapshot the bits of state a sweep needs, under the lock once. */
@@ -165,71 +203,18 @@ workloadKey(const workloads::Workload &w)
 std::string
 configKey(const GpuConfig &cfg)
 {
+    // Every N >= 2 threads runs the one parallel schedule (docs/PDES.md).
+    GpuConfig keyed = cfg;
+    keyed.sim_threads = cfg.sim_threads > 1 ? 2 : 1;
     std::ostringstream os;
-    os << cfg.num_modules << '/' << cfg.sms_per_module << '/'
-       << cfg.partitions_per_module << '/' << cfg.max_warps_per_sm << '/'
-       << cfg.max_ctas_per_sm << '/' << cfg.sm_issue_width << ','
-       << cfg.max_outstanding_per_warp << '/'
-       << cfg.l1.size_bytes << ',' << cfg.l1.ways << ','
-       << cfg.l1.hit_latency << '/' << cfg.l15_total_bytes << ','
-       << static_cast<int>(cfg.l15_alloc) << ',' << cfg.l15.ways << ','
-       << cfg.l15.hit_latency << ',' << cfg.l15_miss_penalty << '/'
-       << cfg.l2.size_bytes << ','
-       << cfg.l2.ways << ',' << cfg.l2.hit_latency << '/'
-       << cfg.dram_total_gbps << ',' << cfg.dram_latency_ns << ','
-       << cfg.channels_per_partition << '/' << cfg.link_gbps << ','
-       << cfg.link_hop_cycles << ',' << cfg.board_level_links << '/'
-       << static_cast<int>(cfg.page_policy) << ',' << cfg.page_bytes << ','
-       << cfg.interleave_bytes << '/'
-       << static_cast<int>(cfg.cta_sched) << ','
-       << cfg.kernel_launch_cycles << '/'
-       << cfg.watchdog_cycles << ',' << cfg.cycle_limit;
-    // Fault plans change the machine; a pristine plan adds nothing so
-    // pre-fault cache entries for the same machine stay valid.
-    if (!cfg.fault.empty()) {
-        const FaultPlan &f = cfg.fault;
-        os << "/F" << f.seed << ',' << f.link_retry_cycles;
-        for (const auto &s : f.swept_sms)
-            os << ";s" << s.module << '.' << s.local_sm;
-        for (const auto &l : f.link_faults) {
-            os << ";l" << l.module << '.' << l.bw_derate << '.'
-               << l.error_rate;
-        }
-        for (PartitionId p : f.dead_partitions)
-            os << ";d" << p;
-    }
-    // Memory-model selection changes timing under Staged; the default
-    // chain composition adds nothing so pre-pipeline cache entries for
-    // the same machine stay valid.
-    if (cfg.mem_model != MemModel::Chain || cfg.remote_mshrs != 0) {
-        os << "/M" << static_cast<int>(cfg.mem_model) << ','
-           << cfg.remote_mshrs;
-    }
-    // Fabric virtual channels change staged timing; VCs off (the
-    // default, and the only behaviour the chain model has) adds
-    // nothing so pre-VC cache entries stay valid.
-    if (cfg.fabric_vcs != 0)
-        os << "/V" << cfg.fabric_vcs << ',' << cfg.vc_credits;
-    // The topology spec names the fabric, with the package-tier link
-    // pricing its package:P family uses.
-    os << "/T" << cfg.topology << ',' << cfg.pkg_link_gbps << ','
-       << cfg.pkg_link_hop_cycles;
-    // DRAM bus-turnaround model; off (the default) adds nothing.
-    if (cfg.dram_turnaround_cycles != 0) {
-        os << "/D" << cfg.dram_turnaround_cycles << ','
-           << cfg.dram_write_drain;
-    }
-    // Adaptive route selection changes fabric timing; the static
-    // default is bit-identical to the legacy toggle and adds nothing,
-    // so pre-adaptive cache entries stay valid.
-    if (cfg.route_policy != RoutePolicy::Static)
-        os << "/R" << static_cast<int>(cfg.route_policy);
-    // The parallel engine's cycles may differ from the serial engine's
-    // by its store-ack slip, and are identical for every N >= 2
-    // (docs/PDES.md); the serial engine adds nothing, so its entries
-    // stay valid.
-    if (cfg.sim_threads > 1)
-        os << "/P";
+    const char *sep = "";
+    forEachField(keyed, [&](const std::string &field, const auto &v) {
+        if (field == "name")
+            return; // display only
+        os << sep << field << '=';
+        put(os, v);
+        sep = " ";
+    });
     return os.str();
 }
 

@@ -30,7 +30,8 @@ namespace mcmgpu {
 namespace experiment {
 
 /**
- * A stable serialization of every timing-relevant config field; two
+ * Every field forEachField() lists, as exact `field=value` pairs, except
+ * the display name; sim_threads reads 1 (serial) or 2 (parallel). Two
  * configs with equal keys simulate identically.
  */
 std::string configKey(const GpuConfig &cfg);

@@ -134,6 +134,30 @@ TEST(Cli, EveryPresetBuildsAndValidates)
     EXPECT_THROW(configs::preset("mcm-mesh-adaptive"), std::runtime_error);
 }
 
+TEST(Cli, L15FlagIsIsoTransistor)
+{
+    // The flag and the presets share one rule: the L1.5 comes out of
+    // the machine's own cache budget, and a repeated flag keeps the last.
+    auto one = [](const std::vector<std::string> &args) {
+        const std::vector<GpuConfig> cfgs = selected(args);
+        EXPECT_EQ(cfgs.size(), 1u);
+        return cfgs.front();
+    };
+    EXPECT_EQ(experiment::configKey(
+                  one({"--machine", "mcm-basic", "--l15-mb", "16"})),
+              experiment::configKey(configs::mcmWithL15(16 * MiB)));
+    EXPECT_EQ(experiment::configKey(one({"--l15-mb", "16", "--l15-mb", "8"})),
+              experiment::configKey(one({"--l15-mb", "8"})));
+
+    const GpuConfig off = one({"--machine", "mcm-optimized", "--l15-mb", "0"});
+    EXPECT_EQ(off.l15_alloc, L15Alloc::Off);
+    EXPECT_EQ(off.l2.size_bytes, 16 * MiB);
+    EXPECT_EQ(one({"--machine", "mcm-package", "--l15-mb", "8"}).l2.size_bytes,
+              24 * MiB);
+    EXPECT_EQ(one({"--machine", "mono-32", "--l15-mb", "1"}).l2.size_bytes,
+              1 * MiB);
+}
+
 TEST(Cli, BadInputIsOneLineUsageError)
 {
     EXPECT_EQ(usageError({"--jbos", "8"}),
@@ -147,6 +171,11 @@ TEST(Cli, BadInputIsOneLineUsageError)
               "invalid value '12x' for --link-gbps");
     EXPECT_EQ(usageError({"--max-cycles", "abc"}),
               "invalid value 'abc' for --max-cycles");
+    // 2^44 MB is 2^64 bytes: neither value may wrap to a small L1.5.
+    EXPECT_EQ(usageError({"--l15-mb", "17592186044416"}),
+              "invalid value '17592186044416' for --l15-mb");
+    EXPECT_EQ(usageError({"--l15-mb", "17592186044417"}),
+              "invalid value '17592186044417' for --l15-mb");
     EXPECT_EQ(usageError({"--sched", "distrbuted"}),
               "unknown --sched 'distrbuted' "
               "(centralized|distributed|dynamic)");

@@ -74,19 +74,19 @@ TEST(Config, MonolithicRejectsOddCounts)
 TEST(Config, IsoTransistorL15Rebalance)
 {
     GpuConfig c8 = configs::mcmWithL15(8 * MiB);
-    EXPECT_EQ(c8.l15_total_bytes, 8 * MiB);
+    EXPECT_EQ(c8.l15.size_bytes, 8 * MiB);
     EXPECT_EQ(c8.l2.size_bytes, 8 * MiB);
     EXPECT_EQ(c8.l15_alloc, L15Alloc::RemoteOnly);
 
     // 16MB: almost all of the L2 moves; a 32KB/partition sliver stays.
     GpuConfig c16 = configs::mcmWithL15(16 * MiB);
-    EXPECT_EQ(c16.l15_total_bytes, 16 * MiB);
+    EXPECT_EQ(c16.l15.size_bytes, 16 * MiB);
     EXPECT_EQ(c16.l2.size_bytes, 4 * 32 * KiB);
 
     // 32MB: deliberately non-iso-transistor.
     GpuConfig c32 = configs::mcmWithL15(32 * MiB);
-    EXPECT_EQ(c32.l15_total_bytes, 32 * MiB);
-    uint64_t total = c32.l15_total_bytes + c32.l2.size_bytes;
+    EXPECT_EQ(c32.l15.size_bytes, 32 * MiB);
+    uint64_t total = c32.l15.size_bytes + c32.l2.size_bytes;
     EXPECT_GT(total, 16 * MiB);
     c8.validate();
     c16.validate();
@@ -97,7 +97,7 @@ TEST(Config, OptimizedPresetMatchesSection54)
 {
     GpuConfig c = configs::mcmOptimized();
     c.validate();
-    EXPECT_EQ(c.l15_total_bytes, 8 * MiB);
+    EXPECT_EQ(c.l15.size_bytes, 8 * MiB);
     EXPECT_EQ(c.l2.size_bytes, 8 * MiB);
     EXPECT_EQ(c.l15_alloc, L15Alloc::RemoteOnly);
     EXPECT_EQ(c.cta_sched, CtaSchedPolicy::DistributedBatch);
@@ -120,7 +120,7 @@ TEST(Config, MultiGpuMatchesSection61)
 
     GpuConfig o = configs::multiGpuOptimized();
     o.validate();
-    EXPECT_EQ(o.l15_total_bytes, 8 * MiB); // half of L2 moved GPU-side
+    EXPECT_EQ(o.l15.size_bytes, 8 * MiB); // half of L2 moved GPU-side
     EXPECT_EQ(o.l2.size_bytes, 8 * MiB);
 }
 
@@ -214,13 +214,42 @@ TEST(ConfigIssues, L15EnabledWithZeroCapacity)
 {
     GpuConfig c = configs::mcmBasic();
     c.l15_alloc = L15Alloc::RemoteOnly;
-    c.l15_total_bytes = 0;
+    c.l15.size_bytes = 0;
     try {
         c.validate();
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         EXPECT_TRUE(e.has(ConfigErrc::L15NoCapacity));
     }
+}
+
+TEST(ConfigIssues, CacheSetCounts)
+{
+    // A Cache counts its sets in 32 bits. Machines this large are never
+    // built here: check() alone must refuse them.
+    const uint64_t set = 128 * 16;
+    const uint64_t too_many = uint64_t(1) << 32;
+    GpuConfig c = configs::mcmBasic();
+    c.withL15(too_many * set * c.num_modules, L15Alloc::RemoteOnly);
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
+
+    c = configs::mcmBasic();
+    c.l2.size_bytes = too_many * set * c.totalPartitions();
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
+    c.l2.size_bytes -= set * c.totalPartitions();
+    EXPECT_TRUE(c.check().empty());
+
+    // Every instance of a present level holds at least one set, and a
+    // set of no ways has no count at all; building either would panic.
+    c = configs::mcmBasic();
+    c.withL15(set * c.num_modules - 1, L15Alloc::RemoteOnly);
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
+    c = configs::mcmBasic();
+    c.l2.size_bytes = set * c.totalPartitions() - 1;
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
+    c = configs::mcmBasic();
+    c.l1.ways = 0;
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
 }
 
 TEST(ConfigIssues, CheckReturnsEveryProblemAtOnce)
@@ -331,14 +360,6 @@ TEST(ConfigIssues, NonFiniteBandwidth)
         c.pkg_link_gbps = bad;
         EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::NoLinkBandwidth));
     }
-}
-
-TEST(Config, EnergyConstantsMatchTable2)
-{
-    GpuConfig c = configs::mcmBasic();
-    EXPECT_DOUBLE_EQ(c.chip_pj_per_bit, 0.080);
-    EXPECT_DOUBLE_EQ(c.package_pj_per_bit, 0.5);
-    EXPECT_DOUBLE_EQ(c.board_pj_per_bit, 10.0);
 }
 
 class LinkSweepPresets : public ::testing::TestWithParam<double>

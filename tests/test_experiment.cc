@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
@@ -28,6 +32,25 @@ class ExperimentTest : public ::testing::Test
         experiment::setCacheDir(""); // no disk cache inside unit tests
     }
 };
+
+/** Change @p v by the smallest step of its kind. */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+    else if constexpr (std::is_floating_point_v<T>)
+        v = std::nextafter(v, std::numeric_limits<T>::infinity());
+    else if constexpr (std::is_integral_v<T>)
+        ++v;
+    else if constexpr (std::is_same_v<T, std::string>)
+        v += 'x';
+    else
+        v.push_back({});
+}
 
 TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
 {
@@ -59,6 +82,42 @@ TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
     // The display name must NOT affect the key.
     b = configs::mcmBasic().withName("renamed");
     EXPECT_EQ(experiment::configKey(a), experiment::configKey(b));
+
+    // Every other field of the list reaches the key, by the smallest
+    // step of its kind, on a pristine machine and on a faulty one.
+    GpuConfig faulty = configs::mcmBasic();
+    faulty.fault.sweepSms(1, 2).derateLinks(0.5).injectLinkErrors(1e-3)
+        .killPartition(2);
+    for (const GpuConfig &base : {configs::mcmBasic(), faulty}) {
+        const std::string key = experiment::configKey(base);
+        size_t fields = 0;
+        forEachField(base, [&](std::string_view, const auto &) { ++fields; });
+        for (size_t i = 0; i < fields; ++i) {
+            GpuConfig p = base;
+            std::string name;
+            size_t at = 0;
+            forEachField(p, [&](std::string_view field, auto &v) {
+                if (at++ == i) {
+                    name = field;
+                    perturb(v);
+                }
+            });
+            if (name == "name")
+                EXPECT_EQ(experiment::configKey(p), key);
+            else
+                EXPECT_NE(experiment::configKey(p), key) << name;
+        }
+    }
+    // So do the values inside the fault plan's lists.
+    b = faulty;
+    perturb(b.fault.swept_sms[1].local_sm);
+    EXPECT_NE(experiment::configKey(b), experiment::configKey(faulty));
+    b = faulty;
+    perturb(b.fault.link_faults[0].bw_derate);
+    EXPECT_NE(experiment::configKey(b), experiment::configKey(faulty));
+    b = faulty;
+    perturb(b.fault.link_faults[1].error_rate);
+    EXPECT_NE(experiment::configKey(b), experiment::configKey(faulty));
 }
 
 TEST_F(ExperimentTest, ConfigKeysDifferAcrossPresets)

@@ -23,8 +23,6 @@ ftConfig(uint64_t l15_bytes = 0, L15Alloc alloc = L15Alloc::Off)
     GpuConfig c = configs::mcmBasic();
     c.page_policy = PagePolicy::FirstTouch;
     c.withL15(l15_bytes, alloc);
-    if (l15_bytes > 0)
-        c.l2.size_bytes = 8 * MiB;
     return c;
 }
 
