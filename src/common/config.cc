@@ -100,7 +100,7 @@ GpuConfig::check() const
         flag(ConfigErrc::L15NoCapacity, "L1.5 enabled with zero capacity");
     // Each level is built per SM, GPM or partition, and a Cache counts
     // its sets in 32 bits: a present level holds at least one set in
-    // every instance, and fewer than 2^32.
+    // every instance, and fewer than 2^32, of at most kMaxWays ways.
     auto sets = [&](const char *level, const CacheGeometry &g,
                     uint64_t instances) {
         if (g.size_bytes == 0 || instances == 0)
@@ -113,6 +113,9 @@ GpuConfig::check() const
                  " B does not hold 1 to 2^32 - 1 sets of ", g.ways, " x ",
                  g.line_bytes, " B");
         }
+        if (g.ways > CacheGeometry::kMaxWays)
+            flag(ConfigErrc::BadCacheWays, level, " has ", g.ways,
+                 " ways; a set holds at most ", CacheGeometry::kMaxWays);
     };
     sets("per-SM L1", l1, 1);
     sets("per-GPM L1.5", l15, num_modules);

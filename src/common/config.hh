@@ -40,6 +40,7 @@ enum class ConfigErrc
     NoLinkBandwidth,
     L15NoCapacity,
     BadCacheSets, //!< a cache instance holds no set, or 2^32 sets or more
+    BadCacheWays, //!< a cache level has more than CacheGeometry::kMaxWays
     FaultBadModule,
     FaultBadSm,
     FaultModuleFullySwept,
@@ -149,6 +150,10 @@ enum class RoutePolicy
 /** Geometry/latency of one set-associative cache level. */
 struct CacheGeometry
 {
+    /** Most ways a set may hold: a Cache keeps each set's recency order
+     *  as one 4-bit way index per position in a 64-bit word. */
+    static constexpr uint32_t kMaxWays = 16;
+
     uint64_t size_bytes = 0;
     uint32_t line_bytes = 128;
     uint32_t ways = 16;

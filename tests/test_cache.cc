@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/cache.hh"
+#include "reference_cache.hh"
 
 namespace mcmgpu {
 namespace {
@@ -208,8 +210,8 @@ TEST(Cache, InvalidateAllDropsEverything)
 
 TEST(Cache, RepeatedFlushReuseKeepsStateCoherent)
 {
-    // The flush is an epoch bump, not a tag sweep: lines filled before
-    // a flush must stay dead however their stale way contents look, and
+    // The flush clears each set's masks, not its tags: lines filled
+    // before a flush must stay dead however their stale tags look, and
     // refills after the flush must behave like a cold cache — including
     // in-flight fill tracking and dirty-victim accounting.
     Cache c(smallGeo(), "t.epoch", true);
@@ -250,7 +252,10 @@ TEST(Cache, HitRateAccounting)
     c.fill(0x0, false, 0);
     c.lookup(0x0, false, 1);  // hit
     c.lookup(0x80, false, 1); // miss
-    EXPECT_DOUBLE_EQ(c.hitRate(), 0.5);
+    c.fill(0x100, false, 9);
+    c.lookup(0x100, false, 2); // hit under fill: counts as a hit
+    EXPECT_EQ(c.hitsTotal(), 2u);
+    EXPECT_EQ(c.missesTotal(), 1u);
 }
 
 TEST(Cache, BadLineSizePanics)
@@ -268,6 +273,126 @@ TEST(Cache, CapacityBelowOneSetPanics)
     g.ways = 4;
     EXPECT_ANY_THROW(Cache(g, "t.tiny", true));
 }
+
+TEST(Cache, WaysPastTheRecencyOrderPanic)
+{
+    // A set's recency order holds 16 way indices; GpuConfig::check()
+    // refuses such machines first (ConfigIssues.CacheWays).
+    for (uint32_t ways : {0u, 17u, 32u}) {
+        EXPECT_ANY_THROW(Cache(smallGeo(64 * KiB, ways), "t.ways", true))
+            << ways << " ways";
+    }
+    EXPECT_NO_THROW(Cache(smallGeo(64 * KiB, 16), "t.ways", true));
+    // A disabled level builds no sets, whatever its ways say.
+    EXPECT_NO_THROW(Cache(smallGeo(0, 32), "t.ways", true));
+}
+
+TEST(Cache, AddressPastTheTagPanics)
+{
+    // Tags hold 32-bit line numbers: the last one is served, the next
+    // one panics instead of aliasing line 0.
+    Cache c(smallGeo(), "t.tagwidth", true);
+    const Addr last = Addr(UINT32_MAX) << 7;
+    c.fill(last, true, 0);
+    EXPECT_EQ(c.lookup(last + 127, false, 1).outcome, CacheOutcome::Hit);
+    EXPECT_ANY_THROW(c.lookup(last + 128, false, 1));
+    EXPECT_ANY_THROW(c.fill(last + 128, false, 1));
+    EXPECT_EQ(c.validLines(), 1u);
+}
+
+/**
+ * Differential oracle: the packed cache against the reference model it
+ * replaced (reference_cache.hh), on seeded streams of loads, stores,
+ * fills, refills of present lines and flushes, with `now` moving
+ * backward as well as forward and enough fills in flight that the
+ * amortized reap runs. Many probes revisit recent fills, so what the
+ * reap and the flush retire shows in later outcomes. Parameters: ways,
+ * power-of-two set count, write-back.
+ */
+class CacheEquivalence
+    : public ::testing::TestWithParam<std::tuple<uint32_t, bool, bool>>
+{
+};
+
+TEST_P(CacheEquivalence, MatchesReferenceOpForOp)
+{
+    const auto [ways, pow2, write_back] = GetParam();
+    // 8192 ways, or a few sets fewer: more than the reap's 4096.
+    const uint32_t sets = 8192 / ways - (pow2 ? 0 : 3);
+    CacheGeometry g;
+    g.line_bytes = pow2 ? 128 : 64;
+    g.ways = ways;
+    g.size_bytes = uint64_t(sets) * ways * g.line_bytes;
+    ASSERT_EQ(g.numSets(), sets);
+    Cache packed(g, "t.equiv", write_back);
+    legacy::Cache ref(g, "t.equiv", write_back);
+
+    Rng rng(ways * 977 + (pow2 ? 1 : 0) * 31 + (write_back ? 7 : 0));
+    const uint64_t footprint = 3 * uint64_t(sets) * ways; // lines
+    // Half the lines sit at the top of the 32-bit line-number range.
+    const Addr top = (Addr(UINT32_MAX) - footprint) * g.line_bytes;
+    auto randomAddr = [&] {
+        const uint64_t line = rng.next() % footprint;
+        const Addr base = rng.chance(0.5) ? top : 0x1000'0000ull;
+        return base + line * g.line_bytes + rng.next() % g.line_bytes;
+    };
+    std::vector<Addr> recent(1024, randomAddr());
+    size_t next_recent = 0;
+
+    constexpr int kOps = 100000;
+    constexpr int kFlushEvery = 30000;
+    Cycle t = 3000;
+    for (int op = 0; op < kOps; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        if (op % kFlushEvery == kFlushEvery - 1) {
+            packed.invalidateAll();
+            ref.invalidateAll();
+            ASSERT_EQ(packed.validLines(), ref.validLines());
+            continue;
+        }
+        t += rng.next() % 3;
+        // One probe in four looks back in time: chain probes are not
+        // time-ordered.
+        const Cycle now = rng.chance(0.25) ? t - rng.next() % 3000 : t;
+        const bool store = rng.chance(0.3);
+        const double pick = rng.uniform();
+        if (pick < 0.55) {
+            const Addr a = pick < 0.25 ? recent[rng.next() % recent.size()]
+                                       : randomAddr();
+            const CacheLookup p = packed.lookup(a, store, now);
+            const CacheLookup r = ref.lookup(a, store, now);
+            ASSERT_EQ(p.outcome, r.outcome);
+            ASSERT_EQ(p.ready, r.ready);
+        } else {
+            // Refills of present lines, and fresh fills in flight.
+            const Addr a = pick < 0.65 ? recent[rng.next() % recent.size()]
+                                       : randomAddr();
+            const Cycle ready = now + rng.next() % 4000;
+            const CacheVictim p = packed.fill(a, store, ready);
+            const CacheVictim r = ref.fill(a, store, ready);
+            ASSERT_EQ(p.valid, r.valid);
+            ASSERT_EQ(p.dirty, r.dirty);
+            ASSERT_EQ(p.line_addr, r.line_addr);
+            recent[next_recent++ % recent.size()] = a;
+        }
+        if (op % 1000 == 0) {
+            ASSERT_EQ(packed.validLines(), ref.validLines());
+        }
+    }
+    EXPECT_GT(ref.reaps(), 0u) << "the stream never reached the reap";
+    EXPECT_EQ(packed.validLines(), ref.validLines());
+    std::ostringstream p, r;
+    packed.statsGroup().dump(p);
+    ref.statsGroup().dump(r);
+    EXPECT_EQ(p.str(), r.str());
+    EXPECT_GT(packed.statsGroup().get("hits_pending"), 0.0);
+    EXPECT_GT(packed.statsGroup().get("invalidations"), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheEquivalence,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u, 16u),
+                       ::testing::Bool(), ::testing::Bool()));
 
 /** Property: occupancy never exceeds capacity, for many geometries. */
 class CacheOccupancy

@@ -252,6 +252,28 @@ TEST(ConfigIssues, CacheSetCounts)
     EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheSets));
 }
 
+TEST(ConfigIssues, CacheWays)
+{
+    // A set's recency order holds CacheGeometry::kMaxWays way indices;
+    // check() refuses more before a Cache would panic on them.
+    GpuConfig c = configs::mcmBasic();
+    c.l2.ways = CacheGeometry::kMaxWays + 1;
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheWays));
+    c = configs::mcmBasic();
+    c.l1.ways = 32;
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheWays));
+    c = configs::mcmOptimized();
+    c.l15.ways = 64;
+    EXPECT_TRUE(ConfigError(c.check()).has(ConfigErrc::BadCacheWays));
+
+    // Up to the limit every level is fine, and an absent level's ways
+    // build nothing.
+    c = configs::mcmBasic();
+    c.l1.ways = c.l2.ways = CacheGeometry::kMaxWays;
+    c.l15.ways = 64;
+    EXPECT_TRUE(c.check().empty());
+}
+
 TEST(ConfigIssues, CheckReturnsEveryProblemAtOnce)
 {
     GpuConfig c = configs::mcmBasic();

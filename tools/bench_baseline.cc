@@ -32,7 +32,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -52,10 +54,16 @@ namespace {
 struct PairResult
 {
     std::string config;
+    /** The config's family: "" for chain, else its suffix ("+staged",
+     *  "+staged-vc", "+staged-dist", "+staged-dist-smtN"). */
+    std::string family;
     std::string workload;
     uint64_t cycles = 0;
     uint64_t events = 0;
     double wall_ms = 0.0;
+    /** Wall and process CPU time of every repeat, in run order. */
+    std::vector<double> wall_ms_runs;
+    std::vector<double> cpu_ms_runs;
 
     double
     eventsPerSec() const
@@ -66,22 +74,36 @@ struct PairResult
     }
 };
 
+/** Process CPU time in ms, every thread included. */
+double
+cpuMs()
+{
+    timespec ts;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
 PairResult
-runPair(const GpuConfig &cfg, const workloads::Workload &wl,
-        unsigned repeats)
+runPair(const GpuConfig &cfg, const std::string &family,
+        const workloads::Workload &wl, unsigned repeats)
 {
     PairResult r;
     r.config = cfg.name;
+    r.family = family;
     r.workload = wl.abbr;
     double best_ms = 0.0;
     for (unsigned i = 0; i < repeats; ++i) {
         GpuSystem gpu(cfg);
         Runtime rt(gpu);
+        const double c0 = cpuMs();
         const auto t0 = std::chrono::steady_clock::now();
         rt.runAll(wl.launches);
         const auto t1 = std::chrono::steady_clock::now();
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
+        r.wall_ms_runs.push_back(ms);
+        r.cpu_ms_runs.push_back(cpuMs() - c0);
         // Keep the fastest repeat: scheduler noise only ever slows a
         // run down, so the minimum is the closest to the true cost.
         // Engine-level figures so both serial and parallel (--sim-
@@ -244,6 +266,69 @@ parseBench(const std::string &text, std::vector<BaselinePair> &out)
     return true;
 }
 
+/** The @p q quantile of @p v, interpolating between ranks. */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/**
+ * Print the run-to-run noise of events/sec under --repeat N: per family
+ * and in total, repeat i's rate is the family's events over the sum of
+ * its pairs' wall (or process CPU) time in repeat i. The gate does not
+ * read these figures; it keeps the fastest repeat of every pair.
+ */
+void
+printNoise(const std::vector<PairResult> &pairs, unsigned repeats)
+{
+    std::vector<std::string> families;
+    for (const auto &p : pairs) {
+        if (std::find(families.begin(), families.end(), p.family) ==
+            families.end())
+            families.push_back(p.family);
+    }
+    auto report = [&](const std::string &label, bool all,
+                      const std::string &family) {
+        std::vector<double> wall(repeats, 0.0), cpu(repeats, 0.0);
+        uint64_t events = 0;
+        size_t n = 0;
+        for (const auto &p : pairs) {
+            if (!all && p.family != family)
+                continue;
+            ++n;
+            events += p.events;
+            for (unsigned i = 0; i < repeats; ++i) {
+                wall[i] += p.wall_ms_runs[i];
+                cpu[i] += p.cpu_ms_runs[i];
+            }
+        }
+        auto stats = [&](const std::vector<double> &ms) {
+            std::vector<double> rate;
+            for (double m : ms)
+                rate.push_back(m > 0.0 ? static_cast<double>(events) /
+                                             (m / 1000.0) / 1e6
+                                       : 0.0);
+            std::ostringstream os;
+            os << std::fixed << std::setprecision(3)
+               << quantile(rate, 0.5) << " median, " << quantile(rate, 0.0)
+               << " min, " << quantile(rate, 0.75) - quantile(rate, 0.25)
+               << " iqr";
+            return os.str();
+        };
+        std::cout << "noise " << label << " (" << n << " pairs x "
+                  << repeats << " repeats), Mev/s: wall " << stats(wall)
+                  << "; cpu " << stats(cpu) << "\n";
+    };
+    for (const auto &f : families)
+        report(f.empty() ? "chain" : f, false, f);
+    report("total", true, "");
+}
+
 /** The pair families --mem-model selects, as bits. */
 constexpr unsigned kChain = 1, kStaged = 2, kStagedVc = 4;
 
@@ -278,8 +363,9 @@ main(int argc, char **argv)
          "48)", [&](const std::string &v) {
              suite = cli::parseWorkloads("--workloads", v);
          }},
-        cli::value("--repeat", "<n>", "repeats per pair, fastest kept "
-                   "(default 1)", repeats),
+        cli::value("--repeat", "<n>", "repeats per pair, fastest kept; "
+                   "n > 1 also prints each family's noise (default 1)",
+                   repeats),
         cli::choice("--mem-model", "pair families (default chain); staged "
                     "pairs carry a +staged config suffix, staged-vc pairs "
                     "(2 virtual channels, credit flow control) +staged-vc",
@@ -308,22 +394,26 @@ main(int argc, char **argv)
     }
 
     std::vector<GpuConfig> cfgs;
+    std::vector<std::string> families_of; // each config's name suffix
+    auto add = [&](GpuConfig cfg, const std::string &suffix) {
+        cfg.name += suffix;
+        cfgs.push_back(std::move(cfg));
+        families_of.push_back(suffix);
+    };
     for (const auto &m : machines) {
         const GpuConfig cfg = configs::preset(m);
         if (families & kChain)
-            cfgs.push_back(cfg);
+            add(cfg, "");
         if (families & kStaged) {
             GpuConfig st = cfg;
             st.withMemModel(MemModel::Staged, 0);
-            st.name += "+staged";
-            cfgs.push_back(st);
+            add(st, "+staged");
         }
         if (families & kStagedVc) {
             GpuConfig sv = cfg;
             sv.withMemModel(MemModel::Staged, 0);
             sv.withFabricVcs(2, 64);
-            sv.name += "+staged-vc";
-            cfgs.push_back(sv);
+            add(sv, "+staged-vc");
         }
         if (sim_threads > 1) {
             // PDES family: the serial reference and the N-thread run of
@@ -339,20 +429,18 @@ main(int argc, char **argv)
             GpuConfig sd = cfg;
             sd.withMemModel(MemModel::Staged, 0);
             sd.withSched(CtaSchedPolicy::DistributedBatch);
-            sd.name += "+staged-dist";
-            cfgs.push_back(sd);
-            GpuConfig sp = sd;
-            sp.withSimThreads(sim_threads);
-            sp.name += "-smt" + std::to_string(sim_threads);
-            cfgs.push_back(sp);
+            add(sd, "+staged-dist");
+            sd.withSimThreads(sim_threads);
+            add(sd, "+staged-dist-smt" + std::to_string(sim_threads));
         }
     }
 
     std::vector<PairResult> pairs;
     pairs.reserve(cfgs.size() * suite.size());
-    for (const auto &cfg : cfgs) {
+    for (size_t c = 0; c < cfgs.size(); ++c) {
+        const GpuConfig &cfg = cfgs[c];
         for (const auto *wl : suite) {
-            PairResult r = runPair(cfg, *wl, repeats);
+            PairResult r = runPair(cfg, families_of[c], *wl, repeats);
             if (!quiet)
                 std::cout << cfg.name << " x " << wl->abbr << ": "
                           << r.events << " events in "
@@ -403,6 +491,9 @@ main(int argc, char **argv)
                       << " ms smt" << sim_threads << " -> "
                       << json::number(tot_ser / tot_par) << "x\n";
     }
+
+    if (repeats > 1)
+        printNoise(pairs, repeats);
 
     const std::string doc = emitJson(machines, suite.size(), pairs);
     {
