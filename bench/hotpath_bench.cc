@@ -4,7 +4,8 @@
  * the calendar queue: callback boxing (SmallFn vs std::function),
  * schedule/drain throughput in the near-future common case, far-future
  * window crossings, hit-under-fill cache probes, probes of tag state
- * the size of the whole machine, and the kernel-boundary flush.
+ * the size of the whole machine, the kernel-boundary flush, and warp
+ * stepping on a machine's worth of SMs.
  * Companion to `tools/bench_baseline`, which measures the same
  * machinery end to end; this suite isolates the primitives so a
  * regression points at the component, not the system.
@@ -21,7 +22,10 @@
 #include "common/rng.hh"
 #include "common/smallfn.hh"
 #include "common/units.hh"
+#include "core/sm.hh"
 #include "mem/cache.hh"
+#include "mem/txn.hh"
+#include "workloads/patterns.hh"
 
 using namespace mcmgpu;
 
@@ -36,9 +40,8 @@ struct Sink
 void
 BM_SmallFnConstructInvoke(benchmark::State &state)
 {
-    // The shape every warp continuation has: an owner pointer plus a
-    // shared_ptr (24 bytes) — beyond std::function's inline budget,
-    // comfortably inside SmallFn's.
+    // An owner pointer plus a shared_ptr (24 bytes): beyond
+    // std::function's inline budget, comfortably inside SmallFn's.
     Sink sink;
     auto token = std::make_shared<uint64_t>(3);
     for (auto _ : state) {
@@ -196,6 +199,91 @@ BM_CacheInvalidateAll(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheInvalidateAll);
+
+/** The memory behind BM_WarpStepMachineSized: every L1 miss and store
+ *  completes inline after a fixed latency, and a retiring CTA is
+ *  replaced at once by the next CTA of an endless grid on the same SM,
+ *  so every warp slot stays occupied. */
+class InlineMemory : public SmContext
+{
+  public:
+    static constexpr Cycle kLatency = 400;
+
+    void
+    memAccess(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
+              Cycle now, TxnDoneFn done) override
+    {
+        MemTxn txn;
+        txn.addr = addr;
+        txn.bytes = bytes;
+        txn.is_store = is_store;
+        txn.src = src;
+        txn.issued = now;
+        txn.t = now + kLatency;
+        txn.phase = TxnPhase::Complete;
+        done(txn, txn.t);
+    }
+
+    void
+    ctaFinished(SmId sm) override
+    {
+        sms[sm]->launchCta(*kernel, next_cta++, eq.now());
+    }
+
+    EventQueue eq;
+    std::vector<std::unique_ptr<Sm>> sms;
+    const KernelDesc *kernel = nullptr;
+    CtaId next_cta = 0;
+};
+
+void
+BM_WarpStepMachineSized(benchmark::State &state)
+{
+    // mcm-basic's 256 SMs, each full (16 CTAs of 4 warps), running a
+    // Stream-like pattern kernel over 96 MB: the host cost of one warp
+    // instruction (trace cursor, scoreboard, issue pipeline, L1 probe,
+    // event dispatch) with the memory system reduced to a constant.
+    // Each iteration executes one event; per_inst divides the timed CPU
+    // time by the warp instructions those events executed.
+    const GpuConfig cfg = configs::mcmBasic();
+    workloads::KernelSpec spec;
+    spec.name = "bm.warp_step";
+    spec.num_ctas = cfg.totalSms() * cfg.max_ctas_per_sm;
+    spec.warps_per_cta = cfg.max_warps_per_sm / cfg.max_ctas_per_sm;
+    spec.items_per_warp = 12;
+    spec.compute_per_item = 3;
+    for (uint64_t a = 0; a < 3; ++a)
+        spec.arrays.push_back({0x1000'0000ull + a * 32 * MiB, 32 * MiB});
+    spec.accesses = {workloads::part(1), workloads::part(2),
+                     workloads::part(0, true)};
+    const KernelDesc kernel = workloads::makeKernel(spec);
+
+    InlineMemory mem;
+    mem.kernel = &kernel;
+    for (uint32_t s = 0; s < cfg.totalSms(); ++s) {
+        mem.sms.push_back(std::make_unique<Sm>(s, s / cfg.sms_per_module,
+                                               cfg, mem, mem.eq));
+    }
+    for (auto &sm : mem.sms) {
+        while (sm->canAccept(kernel))
+            sm->launchCta(kernel, mem.next_cta++, 0);
+    }
+
+    auto insts = [&] {
+        uint64_t n = 0;
+        for (const auto &sm : mem.sms)
+            n += sm->warpInstructions();
+        return n;
+    };
+    const uint64_t before = insts();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mem.eq.step());
+    const double executed = static_cast<double>(insts() - before);
+    state.SetItemsProcessed(static_cast<int64_t>(executed));
+    state.counters["per_inst"] = benchmark::Counter(
+        executed, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WarpStepMachineSized);
 
 } // namespace
 

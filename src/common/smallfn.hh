@@ -4,13 +4,14 @@
  * built for the event engine's hot path.
  *
  * `std::function` heap-allocates any capture larger than two words,
- * which in practice means every continuation a warp schedules (an
- * owner pointer plus a shared_ptr already exceeds the SBO budget).
- * SmallFnT widens the inline buffer so every callback the simulator
- * actually creates is stored in place — scheduling an event never
- * touches the global allocator — and drops the copyability requirement
- * the event queue never needed. Callables too large for the buffer
- * still work; they fall back to a heap box, so the type stays total.
+ * which in practice means the memory pipeline's continuations (an
+ * owner pointer, a transaction pointer and a cycle already exceed the
+ * SBO budget). SmallFnT widens the inline buffer so every callback the
+ * simulator actually creates is stored in place — scheduling an event
+ * never touches the global allocator — and drops the copyability
+ * requirement the event queue never needed. Callables too large for the
+ * buffer still work; they fall back to a heap box, so the type stays
+ * total.
  *
  * The dispatch surface is two function pointers held in a static ops
  * table (invoke + relocate-or-destroy), one indirect call per fire:
@@ -40,9 +41,12 @@ class SmallFnT
 {
   public:
     /** Inline capture budget, bytes. Sized so the codebase's largest
-     *  hot-path capture (an owner pointer + a shared_ptr, or a
-     *  pointer + shared_ptr + slot index) and a whole `std::function`
-     *  both fit without spilling. */
+     *  hot-path capture and a whole `std::function` both fit without
+     *  spilling. The largest is the PDES delivery that resumes a
+     *  transaction at its next phase (owner pointer, transaction
+     *  pointer, arrival cycle and phase: 32 bytes); warp events and
+     *  memory continuations capture an SM pointer and slot indices
+     *  (16 bytes). */
     static constexpr size_t kInlineBytes = 32;
 
     SmallFnT() = default;

@@ -45,47 +45,59 @@ void
 Sm::launchCta(const KernelDesc &kernel, CtaId cta, Cycle now)
 {
     panic_if(!canAccept(kernel), "sm", id_, ": CTA launched without a slot");
-    panic_if(!kernel.make_trace, "kernel '", kernel.name,
-             "' has no trace factory");
+    panic_if(!kernel.spec && !kernel.make_trace, "kernel '", kernel.name,
+             "' has neither a pattern spec nor a trace factory");
 
     ++resident_ctas_;
     resident_warps_ += kernel.warps_per_cta;
     warps_left_[cta] = kernel.warps_per_cta;
 
-    for (WarpId w = 0; w < kernel.warps_per_cta; ++w) {
-        auto run = std::make_shared<WarpRun>();
-        run->trace = kernel.make_trace(cta, w);
-        run->cta = cta;
-        eq_.schedule(now, [this, run = std::move(run)]() mutable {
-            stepWarp(std::move(run));
-        });
+    for (WarpId wid = 0; wid < kernel.warps_per_cta; ++wid) {
+        uint32_t w;
+        if (free_slots_.empty()) {
+            if (warps_.empty())
+                warps_.reserve(max_warps_);
+            w = static_cast<uint32_t>(warps_.size());
+            warps_.emplace_back();
+        } else {
+            w = free_slots_.back();
+            free_slots_.pop_back();
+        }
+        WarpRun &warp = warps_[w];
+        if (kernel.spec)
+            warp.trace.emplace<workloads::PatternTrace>(kernel.spec, cta, wid);
+        else
+            warp.trace = kernel.make_trace(cta, wid);
+        warp.cta = cta;
+        eq_.schedule(now, [this, w] { stepWarp(w); });
     }
 }
 
 void
-Sm::stepWarp(std::shared_ptr<WarpRun> warp)
+Sm::stepWarp(uint32_t w)
 {
     const Cycle now = eq_.now();
+    WarpRun &warp = warps_[w];
 
     WarpOp op;
     Cycle issued;
-    if (warp->has_replay) {
+    if (warp.has_replay) {
         // Resuming from a park: the instruction already went through
         // fetch/issue accounting, only its memory access replays. The
         // cycles between the original issue and the wake-up are the
         // back-pressure stall.
-        warp->has_replay = false;
-        op = warp->replay_op;
-        issued = std::max(warp->replay_issued, now);
-        if (issued > warp->replay_issued)
-            mem_stall_cycles_ += issued - warp->replay_issued;
+        warp.has_replay = false;
+        op = warp.replay_op;
+        issued = std::max(warp.replay_issued, now);
+        if (issued > warp.replay_issued)
+            mem_stall_cycles_ += issued - warp.replay_issued;
     } else {
-        if (!warp->trace->next(op)) {
+        if (!warp.next(op)) {
             // Drain the scoreboard before retiring: outstanding loads
             // and posted stores must land inside the kernel's lifetime.
             Cycle drain = now;
             bool pending = false;
-            for (Cycle c : warp->inflight) {
+            for (Cycle c : warp.inflight) {
                 if (c == kOpPending)
                     pending = true;
                 else
@@ -94,14 +106,17 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
             if (pending) {
                 // Staged model: some completion times are not known
                 // yet. Park; memDone() re-runs this drain check.
-                warp->drain_parked = true;
+                warp.drain_parked = true;
             } else if (drain > now) {
-                warp->inflight.fill(0);
-                eq_.schedule(drain, [this, w = std::move(warp)]() mutable {
-                    stepWarp(std::move(w));
-                });
+                warp.inflight.fill(0);
+                eq_.schedule(drain, [this, w] { stepWarp(w); });
             } else {
-                warpRetired(warp->cta);
+                // Free the slot before the CTA can finish: a refill of
+                // this SM may reuse (or grow past) it.
+                const CtaId cta = warp.cta;
+                warp = WarpRun{};
+                free_slots_.push_back(w);
+                warpRetired(cta);
             }
             return;
         }
@@ -129,80 +144,74 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
         // outstanding memory ops and stalls only when it would exceed
         // its scoreboard depth — i.e. it waits for the op issued
         // max_outstanding_per_warp instructions ago.
-        const uint32_t slot = warp->inflight_idx % max_outstanding_;
-        const Cycle prev = warp->inflight[slot];
+        const uint32_t slot = warp.inflight_idx;
+        const Cycle prev = warp.inflight[slot];
         if (prev == kOpPending) {
             // That op has not even completed yet (staged model): park
             // until its completion wakes us, then replay this access.
-            warp->replay_op = op;
-            warp->replay_issued = issued;
-            warp->park_slot = slot;
-            warp->has_replay = true;
+            warp.replay_op = op;
+            warp.replay_issued = issued;
+            warp.park_slot = slot;
+            warp.has_replay = true;
             return;
         }
         ++mem_ops_;
-        warp->inflight_idx++;
+        if (++warp.inflight_idx == max_outstanding_)
+            warp.inflight_idx = 0;
         ready = std::max(issued, prev);
         if (ready > issued)
             mem_stall_cycles_ += ready - issued;
-        warp->inflight[slot] = kOpPending;
+        warp.inflight[slot] = kOpPending;
 
+        // The continuation finds the warp by its slot index, not by a
+        // reference: under staged it runs after later launches may
+        // have grown the slot array.
+        auto done = [this, w, slot](const MemTxn &txn, Cycle at) {
+            memDone(w, slot, txn, at);
+        };
         if (op.is_store) {
             ++store_ops_;
             // Write-through, no write-allocate: update the L1 copy if
             // present, then post the store downstream; the scoreboard
             // slot tracks its acceptance (finite store-buffer model).
             l1_.lookup(op.addr, true, issued);
-            ctx_.memAccess(module_, op.addr, op.bytes, true, issued,
-                           [this, warp, slot](const MemTxn &txn,
-                                              Cycle done) {
-                               memDone(warp, slot, txn, done);
-                           });
+            ctx_.memAccess(module_, op.addr, op.bytes, true, issued, done);
         } else {
             CacheLookup res = l1_.lookup(op.addr, false, issued);
             switch (res.outcome) {
               case CacheOutcome::Hit:
-                warp->inflight[slot] = issued + l1_.hitLatency();
+                warp.inflight[slot] = issued + l1_.hitLatency();
                 break;
               case CacheOutcome::HitPending:
-                warp->inflight[slot] = std::max(res.ready, issued);
+                warp.inflight[slot] = std::max(res.ready, issued);
                 break;
               case CacheOutcome::Miss:
                 ctx_.memAccess(module_, op.addr, l1_.lineBytes(), false,
-                               issued,
-                               [this, warp, slot](const MemTxn &txn,
-                                                  Cycle done) {
-                                   memDone(warp, slot, txn, done);
-                               });
+                               issued, done);
                 break;
             }
         }
     }
 
-    eq_.schedule(ready, [this, w = std::move(warp)]() mutable {
-        stepWarp(std::move(w));
-    });
+    eq_.schedule(ready, [this, w] { stepWarp(w); });
 }
 
 void
-Sm::memDone(const std::shared_ptr<WarpRun> &warp, uint32_t slot,
-            const MemTxn &txn, Cycle done)
+Sm::memDone(uint32_t w, uint32_t slot, const MemTxn &txn, Cycle done)
 {
     // Loads install the returned line; the fill is timed at arrival so
     // accesses racing it observe the in-flight latency.
     if (!txn.is_store)
         l1_.fill(txn.addr, false, done);
-    warp->inflight[slot] = done;
+    WarpRun &warp = warps_[w];
+    warp.inflight[slot] = done;
 
     // Wake a warp parked on this completion (staged model only; under
     // chain this continuation runs inside memAccess and no park exists).
-    if ((warp->has_replay && warp->park_slot == slot) ||
-        warp->drain_parked) {
-        warp->drain_parked = false;
+    if ((warp.has_replay && warp.park_slot == slot) || warp.drain_parked) {
+        warp.drain_parked = false;
         const Cycle wake = std::max(done, eq_.now());
-        eq_.schedule(wake, [this, w = warp]() mutable {
-            stepWarp(std::move(w));
-        });
+        eq_.schedule(wake, [this, w] { stepWarp(w); });
     }
 }
 

@@ -16,6 +16,13 @@
  * a warp whose scoreboard slot is still in flight parks until the
  * completion wakes it — that is how finite remote MSHRs back-pressure
  * the SM.
+ *
+ * Each resident warp lives in a slot of the SM's own warp array: its
+ * trace cursor (a PatternTrace held by value for pattern kernels), its
+ * scoreboard and its parked state. Warp events and memory
+ * continuations capture (Sm, slot), never a pointer into the array, so
+ * launching a CTA may grow it. A retired warp's slot is reused by the
+ * next warp launched on the SM.
  */
 
 #ifndef MCMGPU_CORE_SM_HH
@@ -24,11 +31,14 @@
 #include <array>
 #include <memory>
 #include <unordered_map>
+#include <variant>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/pattern_trace.hh"
 #include "gpu/kernel.hh"
 #include "mem/cache.hh"
 #include "mem/txn.hh"
@@ -98,38 +108,55 @@ class Sm
      *  flight (only ever observed under the staged memory model). */
     static constexpr Cycle kOpPending = kCycleMax;
 
-    struct WarpRun
+    /** One resident warp, 192 bytes on a 64-byte boundary. A step
+     *  reads the first two host lines: the trace cursor, then the
+     *  scoreboard index, the replay flag and the ring's first five
+     *  entries (a default scoreboard of four stays in them). */
+    struct alignas(64) WarpRun
     {
-        std::unique_ptr<WarpTrace> trace;
-        CtaId cta;
+        /** The warp's instruction stream: a pattern kernel's cursor in
+         *  place, or a make_trace trace on the heap; empty while the
+         *  slot is free. */
+        std::variant<std::monostate, workloads::PatternTrace,
+                     std::unique_ptr<WarpTrace>>
+            trace;
+        /** The scoreboard entry the next memory op takes. */
+        uint32_t inflight_idx = 0;
+        CtaId cta = 0;
+        /** Parked-warp state (staged model): the memory op that could
+         *  not issue because its scoreboard slot was still in flight,
+         *  replayed when the completion wakes the warp. */
+        bool has_replay = false;
+        /** Parked at retirement waiting for outstanding completions. */
+        bool drain_parked = false;
+        uint32_t park_slot = 0;
         /** Completion times of the most recent memory ops, a circular
          *  buffer of max_outstanding_per_warp entries: the warp stalls
          *  only when it would exceed its scoreboard depth. */
         std::array<Cycle, 8> inflight{};
-        uint32_t inflight_idx = 0;
-
-        /** Parked-warp state (staged model): the memory op that could
-         *  not issue because its scoreboard slot was still in flight,
-         *  replayed when the completion wakes the warp. */
-        WarpOp replay_op{};
         Cycle replay_issued = 0;
-        uint32_t park_slot = 0;
-        bool has_replay = false;
-        /** Parked at retirement waiting for outstanding completions. */
-        bool drain_parked = false;
+        WarpOp replay_op{};
+
+        /** Produce the warp's next operation; false once it retired
+         *  its last instruction. */
+        bool
+        next(WarpOp &op)
+        {
+            if (auto *p = std::get_if<workloads::PatternTrace>(&trace))
+                return p->next(op);
+            return std::get<std::unique_ptr<WarpTrace>>(trace)->next(op);
+        }
     };
 
-    /** Advance one warp by one operation; self-reschedules. Takes the
-     *  run by value: each continuation moves ownership into the next
-     *  scheduled event, so the dominant event type pays no shared_ptr
-     *  refcount traffic after CTA launch. */
-    void stepWarp(std::shared_ptr<WarpRun> warp);
+    /** Advance the warp in slot @p w by one operation; self-reschedules.
+     *  Warp events capture (this, w): no heap record, no refcount. */
+    void stepWarp(uint32_t w);
 
-    /** Memory completion: install the L1 line (loads), publish the
-     *  completion cycle into the scoreboard slot, and wake the warp if
-     *  it parked on this slot (issue or drain). */
-    void memDone(const std::shared_ptr<WarpRun> &warp, uint32_t slot,
-                 const MemTxn &txn, Cycle done);
+    /** Memory completion of scoreboard entry @p slot of the warp in
+     *  slot @p w: install the L1 line (loads), publish the completion
+     *  cycle into the scoreboard, and wake the warp if it parked on
+     *  this entry (issue or drain). */
+    void memDone(uint32_t w, uint32_t slot, const MemTxn &txn, Cycle done);
 
     void warpRetired(CtaId cta);
 
@@ -145,6 +172,15 @@ class Sm
 
     /** Next cycle the shared issue pipeline is free. */
     Cycle issue_free_ = 0;
+
+    /** Warp slots, grown on demand up to the resident-warp peak;
+     *  free_slots_ is a LIFO of retired slots. Nothing is allocated at
+     *  construction: the first launch reserves room for
+     *  max_warps_per_sm slots, so growth never leaves freed buffers
+     *  behind. Never hold a WarpRun reference across warpRetired(): the
+     *  CTA it finishes may refill this SM and add a slot. */
+    std::vector<WarpRun> warps_;
+    std::vector<uint32_t> free_slots_;
 
     uint32_t resident_ctas_ = 0;
     uint32_t resident_warps_ = 0;

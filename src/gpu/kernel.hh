@@ -3,10 +3,11 @@
  * Kernel descriptor: the unit of work launched onto the logical GPU.
  *
  * A kernel is a grid of CTAs, each made of warps whose instruction
- * streams are produced by a trace factory. Workloads are sequences of
- * kernel launches (applications with convergence loops relaunch the
- * same kernel many times, which is what makes first-touch placement and
- * distributed scheduling synergistic — see Figure 12).
+ * streams come from a pattern spec (run by value in the SM's warp
+ * slots) or, for hand-written traces, from a trace factory. Workloads
+ * are sequences of kernel launches (applications with convergence loops
+ * relaunch the same kernel many times, which is what makes first-touch
+ * placement and distributed scheduling synergistic — see Figure 12).
  */
 
 #ifndef MCMGPU_GPU_KERNEL_HH
@@ -21,6 +22,10 @@
 
 namespace mcmgpu {
 
+namespace workloads {
+struct KernelSpec;
+}
+
 /** Creates the instruction stream of one warp of one CTA. */
 using TraceFactory =
     std::function<std::unique_ptr<WarpTrace>(CtaId, WarpId)>;
@@ -31,6 +36,11 @@ struct KernelDesc
     std::string name;
     uint32_t num_ctas = 0;
     uint32_t warps_per_cta = 1;
+    /** The pattern this kernel replays (set by workloads::makeKernel).
+     *  When set, the SM builds each warp's PatternTrace inside its warp
+     *  slot and make_trace is not called; when empty, every warp's
+     *  trace comes from make_trace. */
+    std::shared_ptr<const workloads::KernelSpec> spec;
     TraceFactory make_trace;
     /** Fingerprint of the generating parameters (trace identity), used
      *  by the experiment cache; empty disables caching for this kernel. */

@@ -210,9 +210,12 @@ Cache::fill(Addr addr, bool is_store, Cycle ready)
     uint32_t *b = block(set);
     const uint64_t order = loadOrder(b + kOrderWord);
 
-    // If the line is already present (e.g. racing fills), just refresh it.
+    // If the line is already present (e.g. racing fills), just refresh
+    // it: a refresh keeps the line's dirt, so a load refill racing a
+    // store fill cannot drop the store's write-back.
     uint32_t w = findWay(b, line);
-    if (w == ways_per_set_) {
+    const bool refresh = w != ways_per_set_;
+    if (!refresh) {
         // Choose an invalid way, else the back of the recency order.
         const uint32_t invalid = ~b[kFlagsWord] & ((1u << ways_per_set_) - 1);
         if (invalid) {
@@ -237,8 +240,9 @@ Cache::fill(Addr addr, bool is_store, Cycle ready)
     }
 
     const uint32_t bit = 1u << w;
-    b[kFlagsWord] = (b[kFlagsWord] & ~(bit << 16)) |
-                    (is_store && write_back_ ? bit << 16 : 0);
+    const uint32_t dirt = is_store && write_back_ ? bit << 16 : 0;
+    b[kFlagsWord] = (refresh ? b[kFlagsWord] : b[kFlagsWord] & ~(bit << 16)) |
+                    dirt;
     storeOrder(b + kOrderWord, moveToFront(order, w));
     const size_t idx = static_cast<size_t>(set) * ways_per_set_ + w;
     if (!(b[kTrackedWord] & bit)) {

@@ -22,7 +22,7 @@ namespace experiment {
 namespace {
 
 /** Bump when the timing model changes to invalidate stale caches. */
-constexpr int kModelVersion = 4;
+constexpr int kModelVersion = 5;
 
 /**
  * Process-wide harness state. One mutex guards all of it: the memo is

@@ -131,6 +131,9 @@ class Cache
             }
         }
 
+        // Decided here, before the victim path rewrites a stale way's
+        // epoch and so makes live() read it as present.
+        const bool refresh = target != nullptr;
         if (!target) {
             // Choose an invalid way, else the LRU way.
             Way *lru = &base[0];
@@ -160,7 +163,9 @@ class Cache
 
         target->tag = line;
         target->valid = true;
-        target->dirty = is_store && write_back_;
+        // A refresh keeps the line's dirt (a racing store fill's).
+        target->dirty =
+            (refresh && target->dirty) || (is_store && write_back_);
         target->last_use = ++use_clock_;
         if (!target->tracked) {
             target->tracked = true;

@@ -196,6 +196,26 @@ TEST(Cache, RefillOfPresentLineDoesNotEvict)
     EXPECT_EQ(c.validLines(), 4u);
 }
 
+TEST(Cache, RefreshFillKeepsDirt)
+{
+    // A load refill racing a store fill of the same line refreshes it;
+    // the store's dirt must survive, or its write-back is lost.
+    CacheGeometry g;
+    g.size_bytes = 4 * 128;
+    g.line_bytes = 128;
+    g.ways = 4;
+    Cache c(g, "t.refresh", true);
+    c.fill(0x80, true, 0);  // store fill: dirty
+    c.fill(0x80, false, 1); // load refill of the present line
+    bool dirty_victim = false;
+    for (Addr a = 0x1000; a < 0x1000 + 4 * 128; a += 128) {
+        CacheVictim v = c.fill(a, false, 2);
+        if (v.valid && v.line_addr == 0x80)
+            dirty_victim = v.dirty;
+    }
+    EXPECT_TRUE(dirty_victim);
+}
+
 TEST(Cache, InvalidateAllDropsEverything)
 {
     Cache c(smallGeo(), "t.inval", true);

@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the driver runtime: kernel launch-to-retire flow, SM
- * refilling, scheduler integration, kernel-boundary flushes, and the
- * rotating work-distributor origin.
+ * refilling, scheduler integration, kernel-boundary flushes, the
+ * rotating work-distributor origin, and the SM's warp slots.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/config.hh"
 #include "common/units.hh"
@@ -256,6 +257,67 @@ TEST(Runtime, FillOriginRotatesBetweenKernels)
     }
     EXPECT_GT(pins.size(), 1u)
         << "rotation must move the first CTA across modules";
+}
+
+/** What a finished run leaves behind: its final cycle, its event count
+ *  and its stats.json. */
+struct RunDigest
+{
+    Cycle cycles = 0;
+    uint64_t events = 0;
+    std::string stats;
+};
+
+RunDigest
+digestOf(const GpuConfig &cfg, const KernelDesc &kernel)
+{
+    GpuSystem gpu(cfg);
+    Runtime rt(gpu);
+    rt.runKernel(kernel);
+    rt.runKernel(kernel);
+    std::ostringstream os;
+    gpu.statsJson(os, kernel.name);
+    return {gpu.simEngine().now(), gpu.eventsExecuted(), os.str()};
+}
+
+TEST(Runtime, WarpSlotsMatchTheTraceFactory)
+{
+    // Eight SMs of 16 CTA slots run a 1024-CTA grid twice, so every SM
+    // reuses each of its warp slots dozens of times. A pattern kernel
+    // runs its PatternTrace inside the warp slot; the same kernel with
+    // its spec cleared builds each trace through make_trace instead.
+    // Both must produce the same run bit for bit: under chain, and
+    // under staged with one remote MSHR, where warps park on a full
+    // scoreboard and again at retirement until their ops drain.
+    GpuConfig chain = configs::mcmBasic();
+    chain.sms_per_module = 2;
+    GpuConfig staged = chain;
+    staged.withMemModel(MemModel::Staged, 1);
+
+    KernelSpec k;
+    k.name = "slots";
+    k.num_ctas = 1024;
+    k.warps_per_cta = 4;
+    k.items_per_warp = 6;
+    k.compute_per_item = 2;
+    k.arrays = {{0x1000'0000, 4 * MiB}, {0x2000'0000, 4 * MiB}};
+    k.accesses = {workloads::part(0), workloads::gather(1, 64, 0.5),
+                  workloads::part(1, true)};
+    const KernelDesc in_slot = makeKernel(k);
+    ASSERT_TRUE(in_slot.spec);
+    KernelDesc factory = in_slot;
+    factory.spec.reset();
+
+    for (const GpuConfig &cfg : {chain, staged}) {
+        const RunDigest a = digestOf(cfg, in_slot);
+        const RunDigest b = digestOf(cfg, factory);
+        const char *model =
+            cfg.mem_model == MemModel::Staged ? "staged" : "chain";
+        EXPECT_GT(a.cycles, 0u) << model;
+        EXPECT_EQ(a.cycles, b.cycles) << model;
+        EXPECT_EQ(a.events, b.events) << model;
+        EXPECT_EQ(a.stats, b.stats) << model;
+    }
 }
 
 } // namespace

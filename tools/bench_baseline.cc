@@ -462,12 +462,15 @@ main(int argc, char **argv)
             ser_sfx + "-smt" + std::to_string(sim_threads);
         double tot_ser = 0.0, tot_par = 0.0;
         for (const auto &m : machines) {
+            // Pairs carry the built config's name, which need not be
+            // the preset's (mono-32 builds monolithic-32).
+            const std::string base = configs::preset(m).name;
             double ser_ms = 0.0, par_ms = 0.0;
             uint64_t par_events = 0;
             for (const auto &p : pairs) {
-                if (p.config == m + ser_sfx)
+                if (p.config == base + ser_sfx)
                     ser_ms += p.wall_ms;
-                else if (p.config == m + par_sfx) {
+                else if (p.config == base + par_sfx) {
                     par_ms += p.wall_ms;
                     par_events += p.events;
                 }
